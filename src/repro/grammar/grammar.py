@@ -97,6 +97,10 @@ class Grammar:
         self._by_lhs_ntid: List[List[Production]] = [
             self._by_lhs[nt] for nt in self.ids.nonterminals
         ]
+        # The augmented copy, made once: every augmentation mints a fresh
+        # start symbol into the shared symbol table, so a second one would
+        # be a different grammar (``E''``) with a different fingerprint.
+        self._augmented: "Optional[Grammar]" = None
 
     def _validate(self) -> None:
         table_symbols = set(self.symbols)
@@ -175,8 +179,11 @@ class Grammar:
 
         Adds a fresh start symbol ``S'``, the end marker ``$end``, and the
         production ``S' -> S $end`` at index 0.  All existing Symbol objects
-        are shared; production indices shift by one.
+        are shared; production indices shift by one.  The copy is made once
+        per grammar: later calls return the same object.
         """
+        if self._augmented is not None:
+            return self._augmented
         if self.is_augmented:
             return self
         aug_start = self.symbols.fresh_nonterminal(self.start.name)
@@ -186,7 +193,10 @@ class Grammar:
             new_productions.append(
                 Production(i, production.lhs, production.rhs, production.prec_symbol)
             )
-        return Grammar(self.symbols, new_productions, aug_start, self.precedence, self.name)
+        self._augmented = Grammar(
+            self.symbols, new_productions, aug_start, self.precedence, self.name
+        )
+        return self._augmented
 
     # -- convenience -------------------------------------------------------
 

@@ -22,7 +22,7 @@ from ..core import instrument
 from ..grammar.grammar import Grammar
 from ..grammar.production import Production
 from ..grammar.symbols import Symbol
-from ..tables.table import ParseTable
+from ..tables.table import ParseTable, decoded_rows
 from .errors import ConflictedTableError, ParseError, syntax_error
 from .tree import Node
 
@@ -237,6 +237,9 @@ class Parser:
         num_terminals = ids.num_terminals
         action_rows = self.table.action_rows
         goto_rows = self.table.goto_rows
+        # Rows already decoded (None = not yet): a hit costs a list index.
+        action_decoded = decoded_rows(action_rows)
+        goto_decoded = decoded_rows(goto_rows)
         productions = self.grammar.productions
 
         # Pull tokens lazily: the stream may be an unbounded generator, so
@@ -261,7 +264,10 @@ class Parser:
             while True:
                 if budget is not None:
                     budget.charge_parse_step()
-                action = action_rows[state_stack[-1]][tid] if tid is not None else None
+                row = action_decoded[state_stack[-1]]
+                if row is None:
+                    row = action_rows[state_stack[-1]]
+                action = row[tid] if tid is not None else None
                 if action is None:
                     raise self._syntax_error(position, token, state_stack[-1])
                 if action.kind == "shift":
@@ -289,7 +295,10 @@ class Parser:
                     else:
                         children = []
                     value_stack.append(reduce_fn(production, children))
-                    goto = goto_rows[state_stack[-1]][production.lhs_sid - num_terminals]
+                    row = goto_decoded[state_stack[-1]]
+                    if row is None:
+                        row = goto_rows[state_stack[-1]]
+                    goto = row[production.lhs_sid - num_terminals]
                     if goto < 0:  # pragma: no cover - tables are consistent
                         raise self._syntax_error(position, token, state_stack[-1])
                     state_stack.append(goto)

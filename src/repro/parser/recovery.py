@@ -19,6 +19,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..grammar.symbols import Symbol
+from ..tables.table import decoded_rows
 from .engine import Parser, Token, TokenLike
 from .errors import ParseError
 
@@ -58,6 +59,8 @@ class RecoveringParser:
         num_terminals = ids.num_terminals
         action_rows = parser.table.action_rows
         goto_rows = parser.table.goto_rows
+        action_decoded = decoded_rows(action_rows)
+        goto_decoded = decoded_rows(goto_rows)
         productions = self.grammar.productions
 
         stream = [parser._normalise(t, i) for i, t in enumerate(tokens)]
@@ -77,9 +80,10 @@ class RecoveringParser:
                 if budget is not None:
                     budget.charge_parse_step()
                 tid = tids[position]
-                action = (
-                    action_rows[state_stack[-1]][tid] if tid is not None else None
-                )
+                row = action_decoded[state_stack[-1]]
+                if row is None:
+                    row = action_rows[state_stack[-1]]
+                action = row[tid] if tid is not None else None
 
                 if action is None:
                     error = parser._syntax_error(
@@ -105,9 +109,10 @@ class RecoveringParser:
                     arity = len(production.rhs_sids)
                     if arity:
                         del state_stack[-arity:]
-                    goto = goto_rows[state_stack[-1]][
-                        production.lhs_sid - num_terminals
-                    ]
+                    row = goto_decoded[state_stack[-1]]
+                    if row is None:
+                        row = goto_rows[state_stack[-1]]
+                    goto = row[production.lhs_sid - num_terminals]
                     if goto < 0:
                         # Recovery left the stack in a dead configuration.
                         return errors

@@ -2,22 +2,24 @@
 
 JSON table entries (:mod:`repro.tables.serialize`) pay a full parse +
 Symbol-dict reconstruction on every load.  This module stores the same
-information — dense rows plus the full conflict log, resolved and
-unresolved alike — as a **packed binary artifact** that a service worker
-can attach to instantly:
+information — the table's code arrays plus the full conflict log,
+resolved and unresolved alike — as a **packed binary artifact** that a
+service worker can attach to instantly:
 
 - a fixed header (magic, format version, ID-layout version, dimensions,
   a CRC-32 of the payload) plus the grammar fingerprint and method name;
-- two ``int32`` sections — the dense ACTION matrix (``n_states x
-  num_terminals`` encoded action ints, see
-  :mod:`repro.tables.displace`) and the dense GOTO matrix (``n_states x
-  num_nonterminals`` targets, ``-1`` = absent) — written little-endian.
+- two ``int32`` sections — a :class:`~repro.tables.table.ParseTable`'s
+  ``action_codes`` (``n_states x num_terminals``) and ``goto_codes``
+  (``n_states x num_nonterminals``, ``-1`` = absent) exactly as they
+  sit in memory — written little-endian, then the conflict section.
 
-Loading ``mmap``\\ s the file and casts the sections to flat int views
-(`memoryview.cast`) without parsing anything; per-state rows are decoded
-lazily, on first touch, into the same dense rows a
-:class:`~repro.tables.table.ParseTable` carries, so the engine drives a
-:class:`BinaryTable` unchanged and diagnostics stay byte-identical.
+Saving writes the arrays' buffers as they are: no per-cell encoding and
+no payload copy on little-endian hosts.  Loading ``mmap``\\ s the file
+and casts the sections to flat int views (`memoryview.cast`) without
+parsing anything; a :class:`BinaryTable` is a ParseTable over those
+views, so its rows decode lazily, on first touch, through the same
+views a freshly built table uses, and the engine and diagnostics cannot
+tell the two apart.
 
 Every defect — bad magic, foreign format or ID-layout version, grammar
 fingerprint mismatch, truncation, payload corruption (CRC), dimension
@@ -35,14 +37,13 @@ import sys
 import tempfile
 import zlib
 from array import array
-from typing import Dict, List, Optional
+from typing import List, Optional, Tuple
 
 from ..grammar.grammar import Grammar
-from ..grammar.symbols import ID_LAYOUT_VERSION, Symbol
+from ..grammar.symbols import ID_LAYOUT_VERSION
 from .conflicts import Conflict
-from .displace import ACTION_ERROR, ActionDecoder, encode_action
 from .serialize import TableCacheError, grammar_fingerprint
-from .table import Action, ParseTable
+from .table import ActionDecoder, ParseTable, encode_action
 
 __all__ = [
     "BINARY_FORMAT_VERSION",
@@ -74,47 +75,53 @@ _HEADER = struct.Struct("<4sHHiiiiiI")
 _FINGERPRINT_LEN = 64
 
 
-def _section_to_le_bytes(section: array) -> bytes:
-    """*section* (``array('i')``) as little-endian bytes."""
+def _le_section(codes):
+    """*codes* as a little-endian int32 buffer — the array itself (no
+    copy) on little-endian hosts."""
+    if sys.byteorder == "little" and isinstance(codes, (array, memoryview)):
+        return codes
+    section = array("i", codes)
     if sys.byteorder == "big":  # pragma: no cover - exercised on BE hosts
-        section = array("i", section)
         section.byteswap()
-    return section.tobytes()
+    return section
 
 
-def table_to_bytes(table: ParseTable) -> bytes:
-    """Serialise *table* into the binary artifact format."""
-    ids = table.grammar.ids
-    actions = array("i")
-    for row in table.action_rows:
-        actions.extend(encode_action(cell) for cell in row)
-    gotos = array("i")
-    for row in table.goto_rows:
-        gotos.extend(row)
-    # Trailing variable-length section: the full conflict log, one
-    # record each — [state, terminal_id, kind_tag, resolved_flag,
-    # chosen, n, *actions] (kind_tag 0 = shift/reduce, 1 =
-    # reduce/reduce; resolved_flag 1 = settled by precedence; chosen 0 =
-    # the cell was erased, %nonassoc-style).  Unresolved records are
-    # what let the GLR engine's nondet view rebuild its forked cells
-    # from a cache hit.  Empty for conflict-free tables, so their
-    # artifacts keep their exact bytes.
-    conflict_section = array("i")
+def _conflict_section(table: ParseTable) -> array:
+    """The trailing variable-length section: the full conflict log.
+
+    One record per conflict — [state, terminal_id, kind_tag,
+    resolved_flag, chosen, n, *actions] (kind_tag 0 = shift/reduce, 1 =
+    reduce/reduce; resolved_flag 1 = settled by precedence; chosen 0 =
+    the cell was erased, %nonassoc-style).  Unresolved records are what
+    let the GLR engine's nondet view rebuild its forked cells from a
+    cache hit.  Empty for conflict-free tables, so their artifacts keep
+    their exact bytes.
+    """
+    terminal_id = table.grammar.ids.terminal_id
+    section = array("i")
     for conflict in table.conflicts:
-        conflict_section.append(conflict.state)
-        conflict_section.append(ids.terminal_id(conflict.terminal))
-        conflict_section.append(0 if conflict.kind == "shift/reduce" else 1)
-        conflict_section.append(1 if conflict.resolved_by_precedence else 0)
-        conflict_section.append(encode_action(conflict.chosen))
-        conflict_section.append(len(conflict.actions))
-        conflict_section.extend(
-            encode_action(action) for action in conflict.actions
-        )
-    payload = (
-        _section_to_le_bytes(actions)
-        + _section_to_le_bytes(gotos)
-        + _section_to_le_bytes(conflict_section)
-    )
+        section.append(conflict.state)
+        section.append(terminal_id(conflict.terminal))
+        section.append(0 if conflict.kind == "shift/reduce" else 1)
+        section.append(1 if conflict.resolved_by_precedence else 0)
+        section.append(encode_action(conflict.chosen))
+        section.append(len(conflict.actions))
+        section.extend(encode_action(action) for action in conflict.actions)
+    return section
+
+
+def _artifact(table: ParseTable) -> "Tuple[bytes, list]":
+    """(header + fingerprint + method, payload sections) of *table*'s
+    artifact; the header's CRC-32 runs over the sections in turn."""
+    ids = table.grammar.ids
+    sections = [
+        _le_section(table.action_codes),
+        _le_section(table.goto_codes),
+        _le_section(_conflict_section(table)),
+    ]
+    crc = 0
+    for section in sections:
+        crc = zlib.crc32(section, crc)
     method = table.method.encode("utf-8")
     fingerprint = grammar_fingerprint(table.grammar).encode("ascii")
     assert len(fingerprint) == _FINGERPRINT_LEN
@@ -127,175 +134,38 @@ def table_to_bytes(table: ParseTable) -> bytes:
         ids.num_nonterminals,
         len(table.grammar.productions),
         len(method),
-        zlib.crc32(payload),
+        crc,
     )
-    return header + fingerprint + method + payload
+    return header + fingerprint + method, sections
 
 
-class _LazyActionRows:
-    """Sequence of per-state ACTION rows decoded lazily from the flat
-    int section.  First touch of a state materialises (and caches) the
-    same dense ``[Action | None]`` row a ParseTable carries."""
-
-    __slots__ = ("_flat", "_width", "_decoder", "_cache")
-
-    def __init__(self, flat, width: int, n_states: int, decoder: ActionDecoder):
-        self._flat = flat
-        self._width = width
-        self._decoder = decoder
-        self._cache: List[Optional[List[Optional[Action]]]] = [None] * n_states
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, state: int) -> "List[Optional[Action]]":
-        row = self._cache[state]
-        if row is None:
-            decode = self._decoder.decode
-            start = state * self._width
-            row = [decode(cell) for cell in self._flat[start : start + self._width]]
-            self._cache[state] = row
-        return row
+def table_to_bytes(table: ParseTable) -> bytes:
+    """Serialise *table* into the binary artifact format."""
+    head, sections = _artifact(table)
+    return b"".join([head, *sections])
 
 
-class _LazyGotoRows:
-    """Sequence of per-state GOTO rows: zero-copy slices of the flat
-    section (``-1`` = absent), cached per state."""
-
-    __slots__ = ("_flat", "_width", "_cache")
-
-    def __init__(self, flat, width: int, n_states: int):
-        self._flat = flat
-        self._width = width
-        self._cache: List[Optional[object]] = [None] * n_states
-
-    def __len__(self) -> int:
-        return len(self._cache)
-
-    def __getitem__(self, state: int):
-        row = self._cache[state]
-        if row is None:
-            start = state * self._width
-            row = self._flat[start : start + self._width]
-            self._cache[state] = row
-        return row
-
-
-class BinaryTable:
-    """A parse table attached to a binary artifact — rows decode lazily.
-
-    Duck-compatible with :class:`~repro.tables.table.ParseTable`
-    everywhere the engine and the diagnostics paths look: ``grammar``,
-    ``method``, ``action_rows``/``goto_rows``, Symbol-keyed
-    ``actions``/``gotos`` (materialised on first use), the full
-    ``conflicts`` log (resolved and unresolved — a conflicted table off
-    the cache drives the GLR engine exactly like a fresh build), and the
-    summary helpers.
+class BinaryTable(ParseTable):
+    """A :class:`ParseTable` whose code arrays are ``int32`` views straight
+    into a binary artifact (usually an mmap'd file): nothing is decoded
+    until a row view is touched.  The conflict log (resolved and
+    unresolved alike) is loaded eagerly, so a conflicted table off the
+    cache drives the GLR engine exactly like a fresh build.
     """
 
     def __init__(
         self,
         grammar: Grammar,
         method: str,
-        actions_flat,
-        gotos_flat,
-        n_states: int,
+        action_codes,
+        goto_codes,
+        conflicts: "List[Conflict]",
         backing: "Optional[object]" = None,
-        conflicts: "Optional[list]" = None,
     ):
-        self.grammar = grammar
-        self.method = method
-        self.conflicts: list = list(conflicts or [])
-        self._n_states = n_states
-        self._actions_flat = actions_flat
-        self._gotos_flat = gotos_flat
+        super().__init__(grammar, method, action_codes, goto_codes, conflicts)
         # Keep the mmap (and its file) alive as long as the table: the
-        # flat sections are views straight into it.
+        # code arrays are views straight into it.
         self._backing = backing
-        ids = grammar.ids
-        self.num_terminals = ids.num_terminals
-        self.num_nonterminals = ids.num_nonterminals
-        self.action_rows = _LazyActionRows(
-            actions_flat, ids.num_terminals, n_states, ActionDecoder()
-        )
-        self.goto_rows = _LazyGotoRows(gotos_flat, ids.num_nonterminals, n_states)
-        self._actions_dicts: "Optional[List[Dict[Symbol, Action]]]" = None
-        self._gotos_dicts: "Optional[List[Dict[Symbol, int]]]" = None
-
-    # -- ParseTable-compatible surface ---------------------------------
-
-    @property
-    def n_states(self) -> int:
-        return self._n_states
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self) -> list:
-        return [
-            conflict
-            for conflict in self.conflicts
-            if not conflict.resolved_by_precedence
-        ]
-
-    @property
-    def actions(self) -> "List[Dict[Symbol, Action]]":
-        if self._actions_dicts is None:
-            terminals = self.grammar.ids.terminals
-            self._actions_dicts = [
-                {
-                    terminals[tid]: action
-                    for tid, action in enumerate(self.action_rows[state])
-                    if action is not None
-                }
-                for state in range(self._n_states)
-            ]
-        return self._actions_dicts
-
-    @property
-    def gotos(self) -> "List[Dict[Symbol, int]]":
-        if self._gotos_dicts is None:
-            nonterminals = self.grammar.ids.nonterminals
-            self._gotos_dicts = [
-                {
-                    nonterminals[nt_id]: target
-                    for nt_id, target in enumerate(self.goto_rows[state])
-                    if target >= 0
-                }
-                for state in range(self._n_states)
-            ]
-        return self._gotos_dicts
-
-    def action(self, state: int, terminal: Symbol) -> "Optional[Action]":
-        return self.action_rows[state][self.grammar.ids.terminal_id(terminal)]
-
-    def goto(self, state: int, nonterminal: Symbol) -> "Optional[int]":
-        target = self.goto_rows[state][self.grammar.ids.nonterminal_id(nonterminal)]
-        return target if target >= 0 else None
-
-    def action_by_id(self, state: int, terminal_id: int) -> "Optional[Action]":
-        return self.action_rows[state][terminal_id]
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        return self.goto_rows[state][nt_id]
-
-    def conflict_summary(self) -> Dict[str, int]:
-        summary = {"shift_reduce": 0, "reduce_reduce": 0, "resolved": 0}
-        for conflict in self.conflicts:
-            if conflict.resolved_by_precedence:
-                summary["resolved"] += 1
-            elif conflict.kind == "shift/reduce":
-                summary["shift_reduce"] += 1
-            else:
-                summary["reduce_reduce"] += 1
-        return summary
-
-    def size_cells(self) -> int:
-        return sum(len(row) for row in self.actions) + sum(
-            len(row) for row in self.gotos
-        )
 
     def close(self) -> None:
         """Detach from the backing mmap (the table becomes unusable for
@@ -397,9 +267,7 @@ def table_from_bytes(
     conflicts = _decode_conflict_section(
         _flat_int_view(payload[action_bytes + goto_bytes :]), grammar
     )
-    return BinaryTable(
-        grammar, method, actions_flat, gotos_flat, n_states, backing, conflicts
-    )
+    return BinaryTable(grammar, method, actions_flat, gotos_flat, conflicts, backing)
 
 
 def _decode_conflict_section(flat, grammar: Grammar) -> "List[Conflict]":
@@ -440,14 +308,18 @@ def save_binary_table(table: ParseTable, path: str) -> int:
     """Write *table* to *path* in the binary format, atomically (temp
     file + ``os.replace``, mirroring the JSON writer).  Returns the
     artifact size in bytes."""
-    blob = table_to_bytes(table)
+    head, sections = _artifact(table)
     directory = os.path.dirname(os.path.abspath(path))
     descriptor, temp_path = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
     )
+    size = len(head)
     try:
         with os.fdopen(descriptor, "wb") as handle:
-            handle.write(blob)
+            handle.write(head)
+            for section in sections:
+                handle.write(section)
+                size += memoryview(section).nbytes
         os.replace(temp_path, path)
     except BaseException:
         try:
@@ -455,7 +327,7 @@ def save_binary_table(table: ParseTable, path: str) -> int:
         except OSError:
             pass
         raise
-    return len(blob)
+    return size
 
 
 class _MmapBacking:

@@ -17,19 +17,33 @@ fires and carries no lookaheads anywhere in the library.
 
 from __future__ import annotations
 
+import sys
 from array import array
-from typing import Dict, FrozenSet, List
+from functools import lru_cache, partial
+from typing import Dict, FrozenSet, List, Optional
 
 from ..automaton.lr0 import LR0Automaton
 from ..automaton.lr1 import LR1Automaton
 from ..baselines.slr import SlrAnalysis
 from ..core import instrument
+from ..core.bitset import popcount
 from ..core.lalr import LalrAnalysis
 from ..core.relations import ReductionSite
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
 from .conflicts import Conflict, resolve_shift_reduce
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift
+from .table import (
+    ACCEPT,
+    ACTION_ACCEPT,
+    ACTION_REDUCE,
+    ACTION_SHIFT,
+    Action,
+    ParseTable,
+    Reduce,
+    Shift,
+    encode_action,
+    placement_order,
+)
 
 
 def build_lr0_table(
@@ -55,7 +69,7 @@ def build_slr_table(
         if automaton is None:
             automaton = LR0Automaton(grammar, budget=budget)
         analysis = SlrAnalysis(grammar, automaton)
-        mask_of = _symbol_set_masker(automaton)
+        mask_of = _symbol_set_masker(automaton.ids)
 
         def lookahead_mask(site: ReductionSite) -> int:
             return mask_of(analysis.lookahead(*site))
@@ -92,7 +106,7 @@ def build_lalr_table(
                 return site_masks.get(site, 0)
 
         else:
-            mask_of = _symbol_set_masker(automaton)
+            mask_of = _symbol_set_masker(automaton.ids)
 
             def lookahead_mask(site: ReductionSite) -> int:
                 return mask_of(lookahead_table.get(site, frozenset()))
@@ -100,13 +114,14 @@ def build_lalr_table(
         return _fill_lr0_based(automaton, "lalr1", lookahead_mask, budget)
 
 
-def _symbol_set_masker(automaton: LR0Automaton) -> "callable":
+def _symbol_set_masker(ids) -> "callable":
     """Symbol-set -> terminal-ID bitmask converter (memoised per set).
 
-    Follow/LA sets are shared objects (one per lhs or site), so the
-    memoisation makes the conversion one pass per distinct set.
+    Follow/LA sets are shared, long-lived objects (one per lhs, site or
+    LR(1) item), so the memoisation makes the conversion one pass per
+    distinct set.
     """
-    terminal_id = automaton.ids.terminal_id
+    terminal_id = ids.terminal_id
     cache: Dict[int, int] = {}
 
     def mask_of(terminals: FrozenSet[Symbol]) -> int:
@@ -122,102 +137,241 @@ def _symbol_set_masker(automaton: LR0Automaton) -> "callable":
     return mask_of
 
 
+class _CodeFiller:
+    """Appends whole ACTION/GOTO code rows to a table under construction.
+
+    A conflict-free state — no terminal in two of its shift/reduce masks
+    — is written row-wise.  The look-ahead masks are widened to one
+    selector byte per terminal (a C-level ``format``/``translate`` pass
+    each), and the selector is translated into each byte lane of the
+    int32 row by extended-slice assignment.  Shifts and gotos (from
+    ``out_sids``) are then set cell by cell.  A
+    state whose masks overlap takes the per-cell :func:`_place` path
+    instead, so its conflicts, their order, precedence resolutions and
+    yacc winners are exactly those of the classic dict fill; its dict row
+    is then encoded.  So does the rare state whose reductions are not
+    listed by ascending production, whose placement order ``row_order``
+    must then record.
+    """
+
+    def __init__(self, grammar: Grammar):
+        ids = grammar.ids
+        self.grammar = grammar
+        self.symbol_of = ids.by_sid
+        self.terminal_id = ids.terminal_id
+        self.num_terminals = ids.num_terminals
+        self.num_nonterminals = ids.num_nonterminals
+        self.eof_sid = ids.terminal_id(grammar.eof)
+        self.action_codes = array("i")
+        self.goto_codes = array("i")
+        self.conflicts: List[Conflict] = []
+        #: Action cells written by add_state (``table.action_cells``).
+        self.populated = 0
+        self.row_order: Dict[int, List[int]] = {}
+        self._blank_row = bytes(4 * self.num_terminals)
+        self._blank_gotos = array("i", [-1]) * self.num_nonterminals
+        self._bits = "0%db" % self.num_terminals
+
+    def table(self, method: str) -> ParseTable:
+        return ParseTable(
+            self.grammar,
+            method,
+            self.action_codes,
+            self.goto_codes,
+            self.conflicts,
+            self.row_order,
+        )
+
+    def copy_rows(self, old: ParseTable, start: int, stop: int) -> None:
+        """Append states ``[start, stop)`` of *old* unchanged."""
+        width, n_nts = self.num_terminals, self.num_nonterminals
+        self.action_codes.extend(old.action_codes[start * width : stop * width])
+        self.goto_codes.extend(old.goto_codes[start * n_nts : stop * n_nts])
+        for state, order in old.row_order.items():
+            if start <= state < stop:
+                self.row_order[state] = order
+
+    def add_state(self, state_id: int, out_sids, targets, reductions) -> None:
+        """Append one state's rows: its transitions (*out_sids* in
+        declaration order, successors in *targets*) and its reductions as
+        ``(production, look-ahead mask)`` pairs."""
+        num_terminals = self.num_terminals
+        action_codes = self.action_codes
+        goto_codes = self.goto_codes
+        base = len(action_codes)
+        goto_base = len(goto_codes) - num_terminals
+        goto_codes.extend(self._blank_gotos)
+        shifts = []
+        placed = 0
+        # Declaration order puts terminals in ID order, so shifts do too.
+        for sid in out_sids:
+            successor = targets[sid]
+            if sid >= num_terminals:
+                goto_codes[goto_base + sid] = successor
+            else:
+                placed |= 1 << sid
+                # goto on $end exists only from the item S' -> S . $end.
+                code = (
+                    ACTION_ACCEPT
+                    if sid == self.eof_sid
+                    else (successor << 2) | ACTION_SHIFT
+                )
+                shifts.append((sid, code))
+        overlap = False
+        for _production, mask in reductions:
+            overlap = overlap or bool(placed & mask)
+            placed |= mask
+        reductions = [reduction for reduction in reductions if reduction[1]]
+        productions = [production for production, _mask in reductions]
+        if overlap or len(reductions) > 255 or productions != sorted(productions):
+            # Conflicts, more reductions than a selector byte tells apart,
+            # or a placement order that row_order must record.
+            self._add_placed_row(state_id, shifts, reductions)
+            return
+        self.populated += popcount(placed)
+        action_codes.frombytes(
+            self._reduce_row(reductions) if reductions else self._blank_row
+        )
+        for terminal_id, code in shifts:
+            action_codes[base + terminal_id] = code
+
+    def _reduce_row(self, reductions: "List[tuple]") -> bytearray:
+        """The native-endian int32 row holding every reduction's code at
+        the terminals of its mask (the masks are disjoint)."""
+        bits = self._bits
+        selector = 0
+        for rank, (_production, mask) in enumerate(reductions, 1):
+            spread = int.from_bytes(
+                format(mask, bits).encode("ascii").translate(_BIT_BYTES), "big"
+            )
+            selector += spread if rank == 1 else rank * spread
+        selector_bytes = selector.to_bytes(self.num_terminals, "little")
+        lanes = _lane_tables(
+            tuple((production << 2) | ACTION_REDUCE for production, _ in reductions)
+        )
+        row = bytearray(self._blank_row)
+        for lane, table in lanes:
+            row[lane::4] = selector_bytes.translate(table)
+        return row
+
+    def _add_placed_row(self, state_id: int, shifts, reductions) -> None:
+        """Place every reduce cell through :func:`_place` (a conflict
+        state), then encode the dict row."""
+        symbol_of = self.symbol_of
+        action_row: Dict[Symbol, Action] = {}
+        for terminal_id, code in shifts:
+            action_row[symbol_of[terminal_id]] = (
+                ACCEPT if code == ACTION_ACCEPT else Shift(code >> 2)
+            )
+        for production, mask in reductions:
+            reduce_action = Reduce(production)
+            while mask:
+                low_bit = mask & -mask
+                mask ^= low_bit
+                _place(
+                    self.grammar,
+                    actions_row=action_row,
+                    state_id=state_id,
+                    terminal=symbol_of[low_bit.bit_length() - 1],
+                    new_action=reduce_action,
+                    conflicts=self.conflicts,
+                )
+        self.populated += len(action_row)
+        base = len(self.action_codes)
+        self.action_codes.frombytes(self._blank_row)
+        order = _encode_row(
+            self.action_codes, base, self.num_terminals, action_row, self.terminal_id
+        )
+        if order is not None:
+            self.row_order[state_id] = order
+
+
+#: ASCII '0'/'1' -> byte 0/1.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+@lru_cache(maxsize=1024)
+def _lane_tables(codes: tuple) -> tuple:
+    """``((byte lane, table), ...)`` for the nonzero byte lanes of a
+    native int32: ``table`` maps selector value ``rank`` to that byte of
+    ``codes[rank - 1]`` (and 0 to 0)."""
+    code_bytes = [code.to_bytes(4, sys.byteorder) for code in codes]
+    ranks = bytes(range(1, len(codes) + 1))
+    return tuple(
+        (lane, bytes.maketrans(ranks, bytes(b[lane] for b in code_bytes)))
+        for lane in range(4)
+        if any(b[lane] for b in code_bytes)
+    )
+
+
+def _encode_row(
+    action_codes, base: int, width: int, row: "Dict[Symbol, Action]", terminal_id
+) -> "Optional[List[int]]":
+    """Write a Symbol-keyed ACTION dict row into *action_codes* at *base*.
+
+    Returns the row's key order as terminal IDs when it differs from
+    :func:`placement_order`, else None (for the table's ``row_order``).
+    """
+    order = []
+    for terminal, action in row.items():
+        tid = terminal_id(terminal)
+        action_codes[base + tid] = encode_action(action)
+        order.append(tid)
+    if len(order) > 1 and order != placement_order(action_codes[base : base + width]):
+        return order
+    return None
+
+
 def _fill_lr0_based(
     automaton: LR0Automaton,
     method: str,
     lookahead_mask_for: "callable",
     budget=None,
 ) -> ParseTable:
-    """Fill ACTION/GOTO walking the automaton's integer core.
+    """Fill the ACTION/GOTO code arrays walking the automaton's integer
+    core, one state row at a time (see :class:`_CodeFiller`)."""
+    return _fill(
+        automaton.grammar,
+        method,
+        automaton.states,
+        partial(_lr0_row, lookahead_mask_for),
+        budget,
+    )
 
-    Shift/goto cells come from each state's ID row; reduce lookaheads
-    arrive as terminal-ID bitmasks and are widened to Symbols only at
-    the cell boundary (where conflict resolution reasons about
-    precedence declarations, which are Symbol-keyed).
-    """
-    grammar = automaton.grammar
-    ids = automaton.ids
-    num_terminals = ids.num_terminals
-    symbol_of = ids.by_sid
-    eof_sid = ids.terminal_id(grammar.eof)
-    eof = grammar.eof
-    actions: List[Dict[Symbol, Action]] = []
-    gotos: List[Dict[Symbol, int]] = []
-    conflicts: List[Conflict] = []
 
+def _lr0_row(lookahead_mask_for: "callable", state) -> tuple:
+    """An LR(0) state's ``add_state`` arguments."""
+    state_id = state.state_id
+    return (
+        state_id,
+        state.out_sids,
+        state.targets,
+        [
+            (item.production, lookahead_mask_for((state_id, item.production)))
+            for item in state.reductions
+            if item.production != 0
+        ],
+    )
+
+
+def _fill(grammar: Grammar, method: str, states, row_of, budget) -> ParseTable:
+    """The fill loop every construction shares: one ``budget.tick()``
+    and one :meth:`_CodeFiller.add_state` per state."""
+    filler = _CodeFiller(grammar)
     if budget is not None:
         budget.enter_phase("table.fill")
     with instrument.span("table.fill"):
-        for state in automaton.states:
+        for state in states:
             if budget is not None:
                 budget.tick()
-            action_row, goto_row = _fill_state_row(
-                grammar,
-                state,
-                lookahead_mask_for,
-                conflicts,
-                symbol_of,
-                num_terminals,
-                eof_sid,
-                eof,
-            )
-            actions.append(action_row)
-            gotos.append(goto_row)
+            filler.add_state(*row_of(state))
     if budget is not None:
         budget.publish()
     if instrument.enabled():
-        instrument.count("table.states", len(actions))
-        instrument.count("table.action_cells", sum(len(row) for row in actions))
-        instrument.count("table.conflicts", len(conflicts))
-    return ParseTable(grammar, method, actions, gotos, conflicts)
-
-
-def _fill_state_row(
-    grammar: Grammar,
-    state,
-    lookahead_mask_for: "callable",
-    conflicts: List[Conflict],
-    symbol_of,
-    num_terminals: int,
-    eof_sid: int,
-    eof: Symbol,
-) -> "tuple[Dict[Symbol, Action], Dict[Symbol, int]]":
-    """One state's ACTION/GOTO dict rows (the fill engine's inner body).
-
-    Shared between the from-scratch fill and the incremental refill so a
-    refilled row is computed by the exact same code path.  Conflicts
-    discovered in this state are appended to *conflicts* in discovery
-    order.
-    """
-    action_row: Dict[Symbol, Action] = {}
-    goto_row: Dict[Symbol, int] = {}
-    targets = state.targets
-    for sid in state.out_sids:
-        successor = targets[sid]
-        if sid >= num_terminals:
-            goto_row[symbol_of[sid]] = successor
-        elif sid == eof_sid:
-            # goto on $end exists only from the item S' -> S . $end.
-            action_row[eof] = ACCEPT
-        else:
-            action_row[symbol_of[sid]] = Shift(successor)
-    for item in state.reductions:
-        if item.production == 0:
-            continue
-        reduce_action = Reduce(item.production)
-        mask = lookahead_mask_for((state.state_id, item.production))
-        while mask:
-            low_bit = mask & -mask
-            mask ^= low_bit
-            _place(
-                grammar,
-                actions_row=action_row,
-                state_id=state.state_id,
-                terminal=symbol_of[low_bit.bit_length() - 1],
-                new_action=reduce_action,
-                conflicts=conflicts,
-            )
-    return action_row, goto_row
+        instrument.count("table.states", len(states))
+        instrument.count("table.action_cells", filler.populated)
+        instrument.count("table.conflicts", len(filler.conflicts))
+    return filler.table(method)
 
 
 def refill_lalr_table(
@@ -238,10 +392,9 @@ def refill_lalr_table(
     (A changed production's ``%prec`` cannot affect a clean state either:
     any state reducing by that production contains one of its items and
     is dirty by definition.)  Everything is assembled in state order, so
-    rows, dense rows and the conflict list come out ordered exactly as a
-    from-scratch fill — reused rows shared object-for-object.
+    the code arrays and the conflict list come out exactly as a
+    from-scratch fill; clean runs of states are copied by slice.
     """
-    grammar = automaton.grammar
     states = automaton.states
     n_states = len(states)
     refill = bytearray(dirty)
@@ -252,23 +405,11 @@ def refill_lalr_table(
         if la_get(site) != old_mask:
             refill[site[0]] = 1
 
-    ids = grammar.ids
-    symbol_of = ids.by_sid
-    num_terminals = ids.num_terminals
-    eof = grammar.eof
-    eof_sid = ids.terminal_id(eof)
-    terminal_id = ids.terminal_id
-    nonterminal_id = ids.nonterminal_id
-    empty_goto_row = array("i", [-1]) * ids.num_nonterminals
-
     def lookahead_mask(site: ReductionSite) -> int:
         return la_masks.get(site, 0)
 
-    actions: List[Dict[Symbol, Action]] = []
-    gotos: List[Dict[Symbol, int]] = []
-    conflicts: List[Conflict] = []
-    action_rows: "List[List[Action | None]]" = []
-    goto_rows: "List[array]" = []
+    filler = _CodeFiller(automaton.grammar)
+    conflicts = filler.conflicts
     reused = 0
     # ``old_table.conflicts`` is in state order (so is our output), so a
     # single pointer walks it: clean runs copy their slice of old
@@ -276,10 +417,6 @@ def refill_lalr_table(
     old_conflicts = old_table.conflicts
     n_old_conflicts = len(old_conflicts)
     conflict_ptr = 0
-    old_actions = old_table.actions
-    old_gotos = old_table.gotos
-    old_action_rows = old_table.action_rows
-    old_goto_rows = old_table.goto_rows
     with instrument.span("table.refill"):
         state_id = 0
         while state_id < n_states:
@@ -287,11 +424,8 @@ def refill_lalr_table(
             if boundary < 0:
                 boundary = n_states
             if boundary > state_id:
-                # Clean run [state_id, boundary): rows shared verbatim.
-                actions.extend(old_actions[state_id:boundary])
-                gotos.extend(old_gotos[state_id:boundary])
-                action_rows.extend(old_action_rows[state_id:boundary])
-                goto_rows.extend(old_goto_rows[state_id:boundary])
+                # Clean run [state_id, boundary): rows copied verbatim.
+                filler.copy_rows(old_table, state_id, boundary)
                 while (
                     conflict_ptr < n_old_conflicts
                     and old_conflicts[conflict_ptr].state < boundary
@@ -307,33 +441,12 @@ def refill_lalr_table(
                 and old_conflicts[conflict_ptr].state <= state_id
             ):
                 conflict_ptr += 1
-            action_row, goto_row = _fill_state_row(
-                grammar,
-                states[state_id],
-                lookahead_mask,
-                conflicts,
-                symbol_of,
-                num_terminals,
-                eof_sid,
-                eof,
-            )
-            actions.append(action_row)
-            gotos.append(goto_row)
-            dense: "List[Action | None]" = [None] * num_terminals
-            for terminal, action in action_row.items():
-                dense[terminal_id(terminal)] = action
-            action_rows.append(dense)
-            goto_dense = array(empty_goto_row.typecode, empty_goto_row)
-            for nonterminal, target in goto_row.items():
-                goto_dense[nonterminal_id(nonterminal)] = target
-            goto_rows.append(goto_dense)
+            filler.add_state(*_lr0_row(lookahead_mask, states[state_id]))
             state_id += 1
     if instrument.enabled():
         instrument.count("phase.table.rows_reused", reused)
         instrument.count("phase.table.rows_refilled", n_states - reused)
-    return ParseTable.from_rows(
-        grammar, "lalr1", actions, gotos, conflicts, action_rows, goto_rows
-    )
+    return filler.table("lalr1")
 
 
 def build_clr_table(
@@ -346,49 +459,22 @@ def build_clr_table(
                 grammar.augmented() if not grammar.is_augmented else grammar,
                 budget=budget,
             )
-        grammar = lr1.grammar
-        eof = grammar.eof
-        actions: List[Dict[Symbol, Action]] = []
-        gotos: List[Dict[Symbol, int]] = []
-        conflicts: List[Conflict] = []
+        sid = lr1.grammar.ids.sid
+        mask_of = _symbol_set_masker(lr1.grammar.ids)
 
-        if budget is not None:
-            budget.enter_phase("table.fill")
-        with instrument.span("table.fill"):
-            for state in lr1.states:
-                if budget is not None:
-                    budget.tick()
-                action_row: Dict[Symbol, Action] = {}
-                goto_row: Dict[Symbol, int] = {}
-                for symbol, successor in state.transitions.items():
-                    if symbol.is_nonterminal:
-                        goto_row[symbol] = successor
-                    elif symbol is eof:
-                        action_row[eof] = ACCEPT
-                    else:
-                        action_row[symbol] = Shift(successor)
-                for production_index, lookahead_set in lr1.reductions(state.state_id):
-                    if production_index == 0:
-                        continue
-                    reduce_action = Reduce(production_index)
-                    for terminal in lookahead_set:
-                        _place(
-                            grammar,
-                            actions_row=action_row,
-                            state_id=state.state_id,
-                            terminal=terminal,
-                            new_action=reduce_action,
-                            conflicts=conflicts,
-                        )
-                actions.append(action_row)
-                gotos.append(goto_row)
-        if budget is not None:
-            budget.publish()
-        if instrument.enabled():
-            instrument.count("table.states", len(actions))
-            instrument.count("table.action_cells", sum(len(row) for row in actions))
-            instrument.count("table.conflicts", len(conflicts))
-        return ParseTable(grammar, "clr1", actions, gotos, conflicts)
+        def clr_row(state) -> tuple:
+            targets = {
+                sid(symbol): successor
+                for symbol, successor in state.transitions.items()
+            }
+            reductions = [
+                (production, mask_of(lookaheads))
+                for production, lookaheads in lr1.reductions(state.state_id)
+                if production != 0
+            ]
+            return state.state_id, sorted(targets), targets, reductions
+
+        return _fill(lr1.grammar, "clr1", lr1.states, clr_row, budget)
 
 
 def _place(

@@ -39,7 +39,7 @@ import io
 from array import array
 from typing import List
 
-from .displace import encode_action, pack_rows
+from .displace import DisplacedTable
 from .table import ParseTable
 
 #: Styles accepted by :func:`generate_parser_module`.
@@ -278,42 +278,27 @@ def _emit_packed_prelude(out: "io.StringIO", table: ParseTable) -> None:
     out.write("\n")
 
 
-def _encoded_action_rows(table: ParseTable) -> "List[List[int]]":
-    return [[encode_action(cell) for cell in row] for row in table.action_rows]
-
-
 def _emit_dense_tables(out: "io.StringIO", table: ParseTable) -> None:
-    actions = array("i")
-    for row in _encoded_action_rows(table):
-        actions.extend(row)
-    gotos = array("i")
-    for row in table.goto_rows:
-        gotos.extend(row)
-    _emit_int_array(out, "ACTIONS", actions)
+    _emit_int_array(out, "ACTIONS", table.action_codes)
     out.write("\n")
-    _emit_int_array(out, "GOTOS", gotos)
+    _emit_int_array(out, "GOTOS", table.goto_codes)
     out.write("\n")
 
 
 def _emit_displaced_tables(out: "io.StringIO", table: ParseTable) -> None:
-    action_disp, action_check, action_value = pack_rows(
-        _encoded_action_rows(table), empty=0
-    )
-    goto_disp, goto_check, goto_value = pack_rows(
-        [list(row) for row in table.goto_rows], empty=-1
-    )
+    packed = DisplacedTable(table)
     for label, section in [
-        ("ACTION_DISP", action_disp),
-        ("ACTION_CHECK", action_check),
-        ("ACTION_VALUE", action_value),
-        ("GOTO_DISP", goto_disp),
-        ("GOTO_CHECK", goto_check),
-        ("GOTO_VALUE", goto_value),
+        ("ACTION_DISP", packed.action_displacements),
+        ("ACTION_CHECK", packed.action_check),
+        ("ACTION_VALUE", packed.action_values),
+        ("GOTO_DISP", packed.goto_displacements),
+        ("GOTO_CHECK", packed.goto_check),
+        ("GOTO_VALUE", packed.goto_values),
     ]:
         _emit_int_array(out, label, section)
         out.write("\n")
-    out.write(f"ACTION_SLOTS = {len(action_check)}\n")
-    out.write(f"GOTO_SLOTS = {len(goto_check)}\n\n")
+    out.write(f"ACTION_SLOTS = {len(packed.action_check)}\n")
+    out.write(f"GOTO_SLOTS = {len(packed.goto_check)}\n\n")
 
 
 def generate_parser_module(

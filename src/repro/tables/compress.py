@@ -70,12 +70,10 @@ class CompressedTable:
         self.defaults: List[Optional[Reduce]] = []
         self.actions: List[Dict[Symbol, Action]] = []
         self._compress(table)
-        # Dense ID-indexed rows for the engine's fast path: identical to
-        # the source table's rows, i.e. every folded default already
-        # resolved into its original cells and nothing else.
-        self.action_rows: List[List[Optional[Action]]] = [
-            list(row) for row in table.action_rows
-        ]
+        # Dense ID-indexed rows for the engine's fast path: the source
+        # table's own rows, i.e. every folded default already resolved
+        # into its original cells and nothing else.
+        self.action_rows = table.action_rows
         self.goto_rows = table.goto_rows
 
     def _compress(self, table: ParseTable) -> None:

@@ -21,9 +21,10 @@ positions, messages and expected sets are byte-identical to the plain
 :class:`~repro.tables.table.ParseTable` — the representation-parity
 tests and the fuzz oracle pin this down.
 
-The integer **action encoding** shared with the binary table format
-(:mod:`repro.tables.binfmt`) and the array-backed generated parsers
-(:mod:`repro.tables.codegen`)::
+The packed values are a :class:`~repro.tables.table.ParseTable`'s
+``action_codes`` cells, in the integer **action encoding** defined in
+:mod:`repro.tables.table` (and re-exported here) that the binary table
+format and the array-backed generated parsers share::
 
     0                    error / absent cell
     (state << 2) | 1     shift to ``state``
@@ -40,8 +41,16 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..grammar.symbols import Symbol
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift
+from .table import (  # noqa: F401 - the encoding is re-exported from here
+    ACTION_ACCEPT,
+    ACTION_ERROR,
+    ACTION_REDUCE,
+    ACTION_SHIFT,
+    Action,
+    ActionDecoder,
+    ParseTable,
+    encode_action,
+)
 
 __all__ = [
     "ACTION_ERROR",
@@ -54,60 +63,6 @@ __all__ = [
     "encode_action",
     "pack_rows",
 ]
-
-#: Tag bits of the shared integer action encoding.
-ACTION_ERROR = 0
-ACTION_SHIFT = 1
-ACTION_REDUCE = 2
-ACTION_ACCEPT = 3
-
-
-def encode_action(action: "Optional[Action]") -> int:
-    """The integer encoding of *action* (0 for an empty/error cell)."""
-    if action is None:
-        return ACTION_ERROR
-    kind = action.kind
-    if kind == "shift":
-        return (action.state << 2) | ACTION_SHIFT
-    if kind == "reduce":
-        return (action.production << 2) | ACTION_REDUCE
-    if kind == "accept":
-        return ACTION_ACCEPT
-    raise ValueError(f"cannot encode action {action!r}")
-
-
-class ActionDecoder:
-    """Decode encoded action ints back to shared :class:`Action` objects.
-
-    Shift/Reduce instances are interned per target/production so decoding
-    the same cell twice yields the identical object — row views stay as
-    cheap as the eager dense rows after first touch.
-    """
-
-    __slots__ = ("_shifts", "_reduces")
-
-    def __init__(self) -> None:
-        self._shifts: Dict[int, Shift] = {}
-        self._reduces: Dict[int, Reduce] = {}
-
-    def decode(self, encoded: int) -> "Optional[Action]":
-        if encoded == ACTION_ERROR:
-            return None
-        tag = encoded & 3
-        arg = encoded >> 2
-        if tag == ACTION_SHIFT:
-            action = self._shifts.get(arg)
-            if action is None:
-                action = self._shifts[arg] = Shift(arg)
-            return action
-        if tag == ACTION_REDUCE:
-            action = self._reduces.get(arg)
-            if action is None:
-                action = self._reduces[arg] = Reduce(arg)
-            return action
-        if encoded == ACTION_ACCEPT:
-            return ACCEPT
-        raise ValueError(f"invalid encoded action {encoded!r}")
 
 
 def pack_rows(
@@ -208,89 +163,47 @@ class _PackedGotoRow:
         return -1
 
 
-class DisplacedTable:
-    """A ParseTable repacked into shared displacement (comb) arrays.
+class DisplacedTable(ParseTable):
+    """A ParseTable whose rows are served from shared displacement (comb)
+    arrays.
 
-    Exposes the full table interface the engine and the diagnostics
-    paths drive — ``action_rows``/``goto_rows`` (lazy views over the
-    packed arrays), the Symbol-keyed ``action``/``goto`` lookups, and the
-    conflict metadata of the source table — so it is a drop-in row
-    *representation*, never a semantics change.
+    It keeps the source table's code arrays, conflicts and Symbol-keyed
+    views, and replaces ``action_rows``/``goto_rows`` with lazy views
+    over the packed arrays, so it is a drop-in row *representation* for
+    the engine and the diagnostics paths, never a semantics change.
     """
 
     def __init__(self, table: ParseTable):
-        self.grammar = table.grammar
-        self.method = table.method + "+displacement"
-        self.actions = table.actions
-        self.gotos = table.gotos
-        self.conflicts = table.conflicts
-        ids = self.grammar.ids
-        self.num_terminals = ids.num_terminals
-        self.num_nonterminals = ids.num_nonterminals
-        self.decoder = ActionDecoder()
-
-        encoded_actions = [
-            [encode_action(cell) for cell in row] for row in table.action_rows
-        ]
+        super().__init__(
+            table.grammar,
+            table.method + "+displacement",
+            table.action_codes,
+            table.goto_codes,
+            table.conflicts,
+            table.row_order,
+        )
+        width, n_nts = self.num_terminals, self.num_nonterminals
+        n_states = self.n_states
         (
             self.action_displacements,
             self.action_check,
             self.action_values,
-        ) = pack_rows(encoded_actions, empty=ACTION_ERROR)
+        ) = pack_rows(_code_rows(self.action_codes, width, n_states), ACTION_ERROR)
         (
             self.goto_displacements,
             self.goto_check,
             self.goto_values,
-        ) = pack_rows([list(row) for row in table.goto_rows], empty=-1)
+        ) = pack_rows(_code_rows(self.goto_codes, n_nts, n_states), empty=-1)
 
         self.action_rows: List[_PackedActionRow] = [
-            _PackedActionRow(self, state) for state in range(len(table.actions))
+            _PackedActionRow(self, state) for state in range(n_states)
         ]
         self.goto_rows: List[_PackedGotoRow] = [
-            _PackedGotoRow(self, state) for state in range(len(table.gotos))
+            _PackedGotoRow(self, state) for state in range(n_states)
         ]
         #: Dense cells of the source table, for the compression report.
-        self._dense_cells = len(table.actions) * self.num_terminals + len(
-            table.gotos
-        ) * self.num_nonterminals
+        self._dense_cells = n_states * (width + n_nts)
         self._populated_cells = table.size_cells()
-
-    # -- ParseTable-compatible surface ---------------------------------
-
-    @property
-    def n_states(self) -> int:
-        return len(self.action_rows)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self):
-        return [c for c in self.conflicts if not c.resolved_by_precedence]
-
-    def action(self, state: int, terminal: Symbol) -> "Optional[Action]":
-        return self.actions[state].get(terminal)
-
-    def goto(self, state: int, nonterminal: Symbol) -> "Optional[int]":
-        return self.gotos[state].get(nonterminal)
-
-    def action_by_id(self, state: int, terminal_id: int) -> "Optional[Action]":
-        return self.action_rows[state][terminal_id]
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        return self.goto_rows[state][nt_id]
-
-    def conflict_summary(self) -> Dict[str, int]:
-        summary = {"shift_reduce": 0, "reduce_reduce": 0, "resolved": 0}
-        for conflict in self.conflicts:
-            if conflict.resolved_by_precedence:
-                summary["resolved"] += 1
-            elif conflict.kind == "shift/reduce":
-                summary["shift_reduce"] += 1
-            else:
-                summary["reduce_reduce"] += 1
-        return summary
 
     # -- compression accounting ----------------------------------------
 
@@ -321,6 +234,11 @@ class DisplacedTable:
         }
 
 
+def _code_rows(codes, width: int, n_states: int) -> "List[Sequence[int]]":
+    """A flat code array cut into its per-state rows."""
+    return [codes[base : base + width] for base in range(0, n_states * width, width)]
+
+
 def displace(table: ParseTable) -> DisplacedTable:
     """Apply displacement (comb) compression to *table*."""
     return DisplacedTable(table)
@@ -328,8 +246,6 @@ def displace(table: ParseTable) -> DisplacedTable:
 
 def displacement_ratio(table: ParseTable) -> float:
     """Dense cells / displacement-stored cells (>1 means savings)."""
-    stored = DisplacedTable(table).size_cells()
-    dense = len(table.actions) * table.grammar.ids.num_terminals + len(
-        table.gotos
-    ) * table.grammar.ids.num_nonterminals
-    return dense / stored if stored else 1.0
+    packed = DisplacedTable(table)
+    stored = packed.size_cells()
+    return packed._dense_cells / stored if stored else 1.0

@@ -55,7 +55,7 @@ class NondeterministicTable:
         rows: ``rows[state][terminal_id]`` is a tuple of actions (empty
             = syntax error); at most one cell per unresolved conflict
             holds more than one.
-        goto_rows: The underlying table's dense GOTO rows, unchanged.
+        goto_rows: The underlying table's GOTO rows, as a list.
         conflict_cells: How many cells hold more than one action.
     """
 
@@ -91,7 +91,7 @@ class NondeterministicTable:
                 bucket.append(winner)
             rows[state][tid] = tuple(sorted(bucket, key=_cell_order))
         self.rows = rows
-        self.goto_rows = table.goto_rows
+        self.goto_rows = list(table.goto_rows)
         self.conflict_cells = len(merged)
 
     @property

@@ -20,13 +20,27 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from array import array
 from typing import Dict, List
 
 from ..grammar.errors import SymbolError
 from ..grammar.fingerprint import grammar_fingerprint
 from ..grammar.grammar import Grammar
 from .conflicts import Conflict
-from .table import ACCEPT, Action, ParseTable, Reduce, Shift
+from .table import (
+    ACCEPT,
+    ACTION_ACCEPT,
+    ACTION_REDUCE,
+    ACTION_SHIFT,
+    Action,
+    ParseTable,
+    Reduce,
+    Shift,
+    action_cells,
+    encode_action,
+    goto_cells,
+    placement_order,
+)
 
 #: Bumped to 2 with the integer-interned symbol core: tables now carry
 #: dense ID-indexed rows derived from the grammar's ID layout, so
@@ -69,26 +83,38 @@ __all__ = [
 ]
 
 
-def _encode_action(action: Action) -> "List":
-    if action.kind == "shift":
-        return ["s", action.state]
-    if action.kind == "reduce":
-        return ["r", action.production]
+def _json_cell(code: int) -> "List":
+    """An encoded action as its JSON cell."""
+    tag = code & 3
+    if tag == ACTION_SHIFT:
+        return ["s", code >> 2]
+    if tag == ACTION_REDUCE:
+        return ["r", code >> 2]
     return ["a"]
 
 
-def _decode_action(encoded: "List") -> Action:
+def _cell_code(encoded: "List") -> int:
+    """A JSON cell back into its integer code."""
     kind = encoded[0] if encoded else None
     if kind == "s" and len(encoded) == 2 and isinstance(encoded[1], int):
-        return Shift(encoded[1])
+        return (encoded[1] << 2) | ACTION_SHIFT
     if kind == "r" and len(encoded) == 2 and isinstance(encoded[1], int):
-        return Reduce(encoded[1])
+        return (encoded[1] << 2) | ACTION_REDUCE
     if kind == "a" and len(encoded) == 1:
-        return ACCEPT
+        return ACTION_ACCEPT
     # Anything else — including a *list* of actions, the way a future
     # format might carry a conflicted cell — is rejected outright: a
     # loaded table must never claim conflict-freedom it does not have.
     raise TableCacheError(f"unknown action encoding {encoded!r}")
+
+
+def _decode_action(encoded: "List") -> Action:
+    code = _cell_code(encoded)
+    if code & 3 == ACTION_SHIFT:
+        return Shift(code >> 2)
+    if code & 3 == ACTION_REDUCE:
+        return Reduce(code >> 2)
+    return ACCEPT
 
 
 def _decode_conflict(encoded: "List", symbols) -> Conflict:
@@ -113,18 +139,31 @@ def _decode_conflict(encoded: "List", symbols) -> Conflict:
 
 
 def table_to_dict(table: ParseTable) -> Dict:
-    """A JSON-safe dict capturing *table*, conflicts and all."""
+    """A JSON-safe dict capturing *table*, conflicts and all, read
+    straight off its code arrays."""
+    terminals = table.grammar.ids.terminals
+    nonterminals = table.grammar.ids.nonterminals
     payload = {
         "format": FORMAT_VERSION,
         "method": table.method,
         "fingerprint": grammar_fingerprint(table.grammar),
         "actions": [
-            {terminal.name: _encode_action(action) for terminal, action in row.items()}
-            for row in table.actions
+            {
+                terminals[tid].name: _json_cell(code)
+                for tid, code in action_cells(
+                    table.action_codes, table.num_terminals, table.row_order, state
+                )
+            }
+            for state in range(table.n_states)
         ],
         "gotos": [
-            {nonterminal.name: target for nonterminal, target in row.items()}
-            for row in table.gotos
+            {
+                nonterminals[nt_id].name: target
+                for nt_id, target in goto_cells(
+                    table.goto_codes, table.num_nonterminals, state
+                )
+            }
+            for state in range(table.n_states)
         ],
     }
     if table.conflicts:
@@ -138,8 +177,9 @@ def table_to_dict(table: ParseTable) -> Dict:
                 conflict.state,
                 conflict.terminal.name,
                 conflict.kind,
-                [_encode_action(action) for action in conflict.actions],
-                None if conflict.chosen is None else _encode_action(conflict.chosen),
+                [_json_cell(encode_action(action)) for action in conflict.actions],
+                None if conflict.chosen is None
+                else _json_cell(encode_action(conflict.chosen)),
                 conflict.resolved_by_precedence,
             ]
             for conflict in table.conflicts
@@ -164,69 +204,88 @@ def table_from_dict(data: Dict, grammar: Grammar) -> ParseTable:
             "grammar fingerprint mismatch: the table was built from a "
             "different grammar (rebuild instead of loading the cache)"
         )
-    symbols = grammar.symbols
     try:
-        actions = [
-            {symbols[name]: _decode_action(encoded) for name, encoded in row.items()}
-            for row in data["actions"]
-        ]
-        gotos = [
-            {symbols[name]: target for name, target in row.items()}
-            for row in data["gotos"]
-        ]
+        action_rows = data["actions"]
+        goto_rows = data["gotos"]
         method = data["method"]
         conflicts = [
-            _decode_conflict(encoded, symbols)
+            _decode_conflict(encoded, grammar.symbols)
             for encoded in data.get("conflicts", [])
         ]
+        if len(action_rows) != len(goto_rows):
+            raise TableCacheError(
+                f"malformed table payload: {len(action_rows)} ACTION rows but "
+                f"{len(goto_rows)} GOTO rows"
+            )
+        action_codes, row_order = _action_codes(action_rows, grammar)
+        goto_codes = _goto_codes(goto_rows, grammar)
     except TableCacheError:
         raise
     except (KeyError, TypeError, AttributeError, IndexError, SymbolError) as error:
         raise TableCacheError(f"truncated or malformed table payload: {error}") from error
-    _validate_rows(actions, gotos, grammar)
-    # The dense rows stay single-winner (_validate_rows just proved at
-    # most one action per terminal); unresolved entries in the carried
-    # conflict log are what make the loaded table report
+    # The code arrays hold one winner per cell; unresolved entries in
+    # the carried conflict log are what make the loaded table report
     # is_deterministic=False and fuel the GLR engine's nondet view.
-    return ParseTable(grammar, method, actions, gotos, conflicts=conflicts)
+    return ParseTable(grammar, method, action_codes, goto_codes, conflicts, row_order)
 
 
-def _validate_rows(
-    actions: "List[Dict]", gotos: "List[Dict]", grammar: Grammar
-) -> None:
-    """Reject structurally invalid rows a syntactically well-formed
-    payload can still carry: symbols of the wrong kind in a row,
-    out-of-range targets, duplicate actions folded onto one terminal.
+def _action_codes(rows: "List[Dict]", grammar: Grammar):
+    """The ACTION rows as a code array plus the ``row_order`` of rows
+    whose key order is not canonical.
 
-    Each check raises :class:`TableCacheError` so every failure mode
-    stays uniformly "evict and rebuild" for the cache layers.
+    Rejects what a well-formed payload can still carry wrongly — a
+    nonterminal in a row, a shift target or reduce production out of
+    range — with :class:`TableCacheError`, so every failure mode stays
+    uniformly "evict and rebuild" for the cache layers.
     """
-    if len(actions) != len(gotos):
-        raise TableCacheError(
-            f"malformed table payload: {len(actions)} ACTION rows but "
-            f"{len(gotos)} GOTO rows"
-        )
-    n_states = len(actions)
+    symbols = grammar.symbols
+    terminal_id = grammar.ids.terminal_id
+    width = grammar.ids.num_terminals
+    n_states = len(rows)
     n_productions = len(grammar.productions)
-    for state, row in enumerate(actions):
-        for symbol, action in row.items():
+    codes = array("i", bytes(4 * width * n_states))
+    row_order: Dict[int, List[int]] = {}
+    for state, row in enumerate(rows):
+        base = state * width
+        order = []
+        for name, encoded in row.items():
+            symbol = symbols[name]
             if symbol.is_nonterminal:
                 raise TableCacheError(
                     f"malformed table payload: nonterminal {symbol.name!r} "
                     f"in ACTION row {state}"
                 )
-            if action.kind == "shift" and not 0 <= action.state < n_states:
+            code = _cell_code(encoded)
+            target = code >> 2
+            if code & 3 == ACTION_SHIFT and not 0 <= target < n_states:
                 raise TableCacheError(
-                    f"malformed table payload: shift target {action.state} "
+                    f"malformed table payload: shift target {target} "
                     f"out of range in ACTION row {state}"
                 )
-            if action.kind == "reduce" and not 0 <= action.production < n_productions:
+            if code & 3 == ACTION_REDUCE and not 0 <= target < n_productions:
                 raise TableCacheError(
                     f"malformed table payload: reduce production "
-                    f"{action.production} out of range in ACTION row {state}"
+                    f"{target} out of range in ACTION row {state}"
                 )
-    for state, row in enumerate(gotos):
-        for symbol, target in row.items():
+            tid = terminal_id(symbol)
+            codes[base + tid] = code
+            order.append(tid)
+        if order != placement_order(codes[base : base + width]):
+            row_order[state] = order
+    return codes, row_order
+
+
+def _goto_codes(rows: "List[Dict]", grammar: Grammar) -> array:
+    """The GOTO rows as a code array (``-1`` absent), range-checked."""
+    symbols = grammar.symbols
+    width = grammar.ids.num_nonterminals
+    offset = grammar.ids.num_terminals
+    n_states = len(rows)
+    codes = array("i", [-1]) * (width * n_states)
+    for state, row in enumerate(rows):
+        base = state * width - offset
+        for name, target in row.items():
+            symbol = symbols[name]
             if symbol.is_terminal:
                 raise TableCacheError(
                     f"malformed table payload: terminal {symbol.name!r} "
@@ -239,6 +298,8 @@ def _validate_rows(
                     f"malformed table payload: GOTO target {target!r} "
                     f"out of range in row {state}"
                 )
+            codes[base + grammar.ids.sid(symbol)] = target
+    return codes
 
 
 def save_table(table: ParseTable, path: str) -> None:

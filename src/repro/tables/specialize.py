@@ -7,7 +7,7 @@ integer arithmetic instead:
 
 - ``action_codes`` — the dense ACTION matrix flattened row-major into
   one Python list of encoded ints (the shared encoding from
-  :mod:`repro.tables.displace`: ``0`` error, ``(s << 2) | 1`` shift,
+  :mod:`repro.tables.table`: ``0`` error, ``(s << 2) | 1`` shift,
   ``(p << 2) | 2`` reduce, ``3`` accept), so a lookup is
   ``codes[state * num_terminals + tid]`` and dispatch is ``code & 3``;
 - ``goto_codes`` — the GOTO matrix flattened the same way (``-1``
@@ -36,7 +36,7 @@ loop, so parses, budget exhaustion points, instrument counters and
 diagnostics are byte-identical (the representation-parity suite and the
 fuzz oracle pin this corpus-wide).
 
-``SpecializedTable`` keeps the full ParseTable-compatible surface —
+``SpecializedTable`` is a :class:`~repro.tables.table.ParseTable` — its
 lazy ``action_rows``/``goto_rows`` views decode the flat codes back into
 shared :class:`~repro.tables.table.Action` objects — so ``_syntax_error``
 expected sets and :class:`~repro.parser.recovery.RecoveringParser` work
@@ -45,163 +45,61 @@ unchanged on top of it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..grammar.symbols import Symbol
-from .displace import (
+from .table import (
     ACTION_ACCEPT,
     ACTION_ERROR,
     ACTION_REDUCE,
     ACTION_SHIFT,
-    ActionDecoder,
-    encode_action,
+    ParseTable,
 )
-from .table import Action, ParseTable
 
 __all__ = ["SpecializedTable", "specialize", "specialized_view"]
 
 
-class _CodedActionRow:
-    """One state's ACTION row, viewed through the flat code list.
-
-    Supports what ``_syntax_error`` and panic-mode recovery drive:
-    ``row[tid]`` (an :class:`Action` or None) and ``len(row)``.
-    """
-
-    __slots__ = ("_codes", "_base", "_width", "_decoder")
-
-    def __init__(self, codes: "List[int]", base: int, width: int,
-                 decoder: ActionDecoder):
-        self._codes = codes
-        self._base = base
-        self._width = width
-        self._decoder = decoder
-
-    def __len__(self) -> int:
-        return self._width
-
-    def __getitem__(self, terminal_id: int) -> "Optional[Action]":
-        if not 0 <= terminal_id < self._width:
-            raise IndexError(terminal_id)
-        return self._decoder.decode(self._codes[self._base + terminal_id])
+def _as_list(codes) -> "List[int]":
+    """A flat code array (``array``, ``memoryview`` or list) as a list."""
+    return codes.tolist() if hasattr(codes, "tolist") else list(codes)
 
 
-class _CodedGotoRow:
-    """One state's GOTO row over the flat code list (``-1`` absent)."""
+class SpecializedTable(ParseTable):
+    """A ParseTable recompiled into flat integer lists for the engine.
 
-    __slots__ = ("_codes", "_base", "_width")
-
-    def __init__(self, codes: "List[int]", base: int, width: int):
-        self._codes = codes
-        self._base = base
-        self._width = width
-
-    def __len__(self) -> int:
-        return self._width
-
-    def __getitem__(self, nt_id: int) -> int:
-        if not 0 <= nt_id < self._width:
-            raise IndexError(nt_id)
-        return self._codes[self._base + nt_id]
-
-
-class SpecializedTable:
-    """A ParseTable recompiled into flat integer arrays for the engine.
-
-    A drop-in row *representation* like :class:`DisplacedTable` and
-    :class:`BinaryTable` — same grammar, same conflicts, same
-    ``action_rows``/``goto_rows`` surface — plus the specialized-loop
-    extras (``action_codes``/``goto_codes``/``default_codes``/
-    ``arities``/``lhs_nts``) that :class:`~repro.parser.engine.Parser`
-    detects via ``is_specialized``.
+    The same table over list copies of the source's code arrays — same
+    grammar, conflicts and lazy row views — plus the specialized-loop
+    extras (``default_codes``/``arities``/``lhs_nts``) that
+    :class:`~repro.parser.engine.Parser` detects via ``is_specialized``.
     """
 
     is_specialized = True
 
     def __init__(self, table: ParseTable):
-        self.grammar = table.grammar
-        self.method = table.method + "+specialized"
-        self.actions = table.actions
-        self.gotos = table.gotos
-        self.conflicts = table.conflicts
-        ids = self.grammar.ids
-        self.num_terminals = ids.num_terminals
-        self.num_nonterminals = ids.num_nonterminals
-        self.decoder = ActionDecoder()
-
-        width = self.num_terminals
         # Plain Python lists, not array('i'): the hot loop reads these
         # constantly and list indexing returns the stored int without a
         # per-read box.
-        action_codes: "List[int]" = []
+        super().__init__(
+            table.grammar,
+            table.method + "+specialized",
+            _as_list(table.action_codes),
+            _as_list(table.goto_codes),
+            table.conflicts,
+            table.row_order,
+        )
+        width = self.num_terminals
+        action_codes = self.action_codes
         default_codes: "List[int]" = []
-        for row in table.action_rows:
-            coded = [encode_action(cell) for cell in row]
-            action_codes.extend(coded)
-            first = coded[0] if coded else ACTION_ERROR
-            uniform = (
-                (first & 3) == ACTION_REDUCE
-                and all(code == first for code in coded)
-            )
+        for base in range(0, len(action_codes), width):
+            first = action_codes[base]
+            uniform = (first & 3) == ACTION_REDUCE and action_codes[
+                base : base + width
+            ].count(first) == width
             default_codes.append(first if uniform else -1)
-        self.action_codes = action_codes
         self.default_codes = default_codes
-
-        goto_codes: "List[int]" = []
-        for goto_row in table.goto_rows:
-            goto_codes.extend(goto_row)
-        self.goto_codes = goto_codes
 
         productions = self.grammar.productions
         self.arities = [len(p.rhs_sids) for p in productions]
         self.lhs_nts = [p.lhs_sid - width for p in productions]
-
-        self.action_rows: "List[_CodedActionRow]" = [
-            _CodedActionRow(action_codes, state * width, width, self.decoder)
-            for state in range(len(table.actions))
-        ]
-        self.goto_rows: "List[_CodedGotoRow]" = [
-            _CodedGotoRow(goto_codes, state * self.num_nonterminals,
-                          self.num_nonterminals)
-            for state in range(len(table.gotos))
-        ]
-
-    # -- ParseTable-compatible surface ---------------------------------
-
-    @property
-    def n_states(self) -> int:
-        return len(self.action_rows)
-
-    @property
-    def is_deterministic(self) -> bool:
-        return not self.unresolved_conflicts
-
-    @property
-    def unresolved_conflicts(self):
-        return [c for c in self.conflicts if not c.resolved_by_precedence]
-
-    def action(self, state: int, terminal: Symbol) -> "Optional[Action]":
-        return self.actions[state].get(terminal)
-
-    def goto(self, state: int, nonterminal: Symbol) -> "Optional[int]":
-        return self.gotos[state].get(nonterminal)
-
-    def action_by_id(self, state: int, terminal_id: int) -> "Optional[Action]":
-        return self.action_rows[state][terminal_id]
-
-    def goto_by_id(self, state: int, nt_id: int) -> int:
-        return self.goto_rows[state][nt_id]
-
-    def conflict_summary(self) -> "Dict[str, int]":
-        summary = {"shift_reduce": 0, "reduce_reduce": 0, "resolved": 0}
-        for conflict in self.conflicts:
-            if conflict.resolved_by_precedence:
-                summary["resolved"] += 1
-            elif conflict.kind == "shift/reduce":
-                summary["shift_reduce"] += 1
-            else:
-                summary["reduce_reduce"] += 1
-        return summary
 
     # -- accounting -----------------------------------------------------
 

@@ -1,16 +1,26 @@
 """Parse-table representation shared by all four constructions.
 
-A :class:`ParseTable` is the classic ACTION/GOTO pair:
+A :class:`ParseTable` stores two flat ``int32`` code arrays plus the
+conflict log:
 
-- ``actions[state][terminal]`` is a :class:`Shift`, :class:`Reduce`,
-  :class:`Accept` (absent = syntax error);
-- ``gotos[state][nonterminal]`` is the successor state.
+- ``action_codes[state * num_terminals + terminal_id]`` — the ACTION
+  matrix in the shared integer encoding: ``0`` error / absent cell,
+  ``(state << 2) | 1`` shift, ``(production << 2) | 2`` reduce, ``3``
+  accept;
+- ``goto_codes[state * num_nonterminals + nt_id]`` — the GOTO matrix,
+  ``-1`` = absent.
 
-Alongside the Symbol-keyed dict rows, every table carries **dense
-ID-indexed rows** (``action_rows[state][terminal_id]``,
-``goto_rows[state][nt_id]``) built from the grammar's
-:class:`~repro.grammar.symbols.SymbolIds` layout — the parse engine's
-hot loop indexes these flat lists instead of hashing Symbols.
+Table fill (:mod:`repro.tables.build`) writes these arrays straight from
+the look-ahead bitmasks, the binary artifact (:mod:`repro.tables.binfmt`)
+is these arrays byte for byte, and the specialized engine loop indexes
+them directly.  Everything Symbol- or :class:`Action`-shaped is a lazy
+view, decoded one state at a time on first touch by :class:`LazyRows`:
+
+- ``action_rows[state][terminal_id]`` — an :class:`Action` or None;
+- ``goto_rows[state][nt_id]`` — the successor state or ``-1``;
+- ``actions[state][terminal]`` / ``gotos[state][nonterminal]`` — the
+  classic Symbol-keyed ACTION/GOTO dicts (diagnostics, formatting, the
+  JSON artifact).
 
 Conflicts found while filling a cell are recorded (see
 :mod:`repro.tables.conflicts`), a deterministic winner is kept in the
@@ -21,11 +31,19 @@ grammar was conflict-free for the construction used.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional
+from functools import partial
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..grammar.grammar import Grammar
 from ..grammar.symbols import Symbol
 from .conflicts import Conflict
+
+#: Tag bits of the shared integer action encoding.
+ACTION_ERROR = 0
+ACTION_SHIFT = 1
+ACTION_REDUCE = 2
+ACTION_ACCEPT = 3
 
 
 class Action:
@@ -96,74 +114,230 @@ class Accept(Action):
 ACCEPT = Accept()
 
 
+def encode_action(action: "Optional[Action]") -> int:
+    """The integer encoding of *action* (0 for an empty/error cell)."""
+    if action is None:
+        return ACTION_ERROR
+    kind = action.kind
+    if kind == "shift":
+        return (action.state << 2) | ACTION_SHIFT
+    if kind == "reduce":
+        return (action.production << 2) | ACTION_REDUCE
+    if kind == "accept":
+        return ACTION_ACCEPT
+    raise ValueError(f"cannot encode action {action!r}")
+
+
+class ActionDecoder(dict):
+    """Encoded action ints -> shared :class:`Action` objects (``0`` -> None).
+
+    A memo dict: each distinct code is decoded once and the same object
+    comes back ever after, so a hit is a C-level dict lookup and a whole
+    row decodes with ``map(decoder.__getitem__, codes)``.  Invalid codes
+    raise :class:`ValueError` and are not cached.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, encoded: int) -> "Optional[Action]":
+        tag = encoded & 3
+        if encoded == ACTION_ERROR:
+            action = None
+        elif encoded < 0:
+            raise ValueError(f"invalid encoded action {encoded!r}")
+        elif tag == ACTION_SHIFT:
+            action = Shift(encoded >> 2)
+        elif tag == ACTION_REDUCE:
+            action = Reduce(encoded >> 2)
+        elif encoded == ACTION_ACCEPT:
+            action = ACCEPT
+        else:
+            raise ValueError(f"invalid encoded action {encoded!r}")
+        self[encoded] = action
+        return action
+
+    def decode(self, encoded: int) -> "Optional[Action]":
+        return self[encoded]
+
+
+def placement_order(row: "Sequence[int]") -> List[int]:
+    """Terminal IDs of *row*'s populated cells in canonical order.
+
+    Shift and accept cells come first by terminal ID, then reduce cells
+    by (production, terminal ID): the order in which the LR(0)-based fill
+    places a conflict-free row whose reductions are listed by ascending
+    production.  A table records an explicit order (``row_order``) only
+    for the rows that differ.
+    """
+    first: List[int] = []
+    reduces = []
+    for terminal_id in compress(range(len(row)), row):
+        code = row[terminal_id]
+        if code & 3 == ACTION_REDUCE:
+            reduces.append((code, terminal_id))
+        else:
+            first.append(terminal_id)
+    if reduces:
+        reduces.sort()
+        first += [terminal_id for _code, terminal_id in reduces]
+    return first
+
+
+class LazyRows:
+    """A read-only sequence of per-state rows, each decoded on first touch.
+
+    Indexes like a list: a negative index counts from the end and an out
+    of range one raises :class:`IndexError`.  Every table representation
+    serves its ``action_rows``/``goto_rows``/``actions``/``gotos``
+    through this one class.  Hot loops index ``decoded`` directly and
+    call ``rows[state]`` only on a None (see :func:`decoded_rows`).
+    """
+
+    __slots__ = ("decoded", "_decode")
+
+    def __init__(self, n_states: int, decode: "Callable[[int], object]"):
+        #: The rows decoded so far, None for the others.
+        self.decoded: list = [None] * n_states
+        self._decode = decode
+
+    def __len__(self) -> int:
+        return len(self.decoded)
+
+    def __getitem__(self, state: int):
+        row = self.decoded[state]
+        if row is None:
+            if state < 0:
+                state += len(self.decoded)
+            row = self.decoded[state] = self._decode(state)
+        return row
+
+    def __iter__(self):
+        for state in range(len(self.decoded)):
+            yield self[state]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (LazyRows, list)):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            mine == theirs for mine, theirs in zip(self, other)
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+def decoded_rows(rows) -> list:
+    """The list a parse loop indexes first for *rows*: a
+    :class:`LazyRows`' ``decoded`` list, where None means "call
+    ``rows[state]``", or a plain list of rows itself.  A hit is then a
+    list index, with no Python-level call."""
+    return rows.decoded if isinstance(rows, LazyRows) else rows
+
+
+def _action_row(codes, width: int, decoder: ActionDecoder, state: int):
+    base = state * width
+    return list(map(decoder.__getitem__, codes[base : base + width]))
+
+
+def _goto_row(codes, width: int, state: int):
+    base = state * width
+    return list(codes[base : base + width])
+
+
+def action_cells(codes, width: int, row_order, state: int) -> "List[Tuple[int, int]]":
+    """``(terminal ID, code)`` of a state's populated ACTION cells, in
+    placement order (``row_order``, else :func:`placement_order`)."""
+    base = state * width
+    row = codes[base : base + width]
+    order = row_order.get(state)
+    if order is None:
+        order = placement_order(row)
+    return [(tid, row[tid]) for tid in order]
+
+
+def goto_cells(codes, width: int, state: int) -> "List[Tuple[int, int]]":
+    """``(nonterminal ID, target)`` of a state's populated GOTO cells."""
+    base = state * width
+    row = codes[base : base + width]
+    return [(nt_id, row[nt_id]) for nt_id in range(width) if row[nt_id] >= 0]
+
+
+def _action_dict(codes, width: int, row_order, terminals, decoder, state: int):
+    return {
+        terminals[tid]: decoder[code]
+        for tid, code in action_cells(codes, width, row_order, state)
+    }
+
+
+def _goto_dict(codes, width: int, nonterminals, state: int):
+    return {nonterminals[nt]: target for nt, target in goto_cells(codes, width, state)}
+
+
+def _count_populated(codes, absent: int) -> int:
+    """Cells of a flat code array that differ from *absent* (no decoding)."""
+    if isinstance(codes, memoryview):
+        codes = array("i", codes.tobytes())
+    return len(codes) - codes.count(absent)
+
+
 class ParseTable:
-    """ACTION/GOTO tables plus conflict metadata for one construction."""
+    """ACTION/GOTO code arrays plus conflict metadata for one construction.
+
+    Args:
+        grammar: The (augmented) grammar whose ID layout indexes the rows.
+        method: Which construction produced the table: "lr0", "slr1",
+            "lalr1", "clr1".
+        action_codes: ``n_states x num_terminals`` encoded actions.
+        goto_codes: ``n_states x num_nonterminals`` targets (``-1`` absent).
+        conflicts: The conflict log, in discovery order.
+        row_order: For the few states whose cells were placed in another
+            order than :func:`placement_order`, their terminal IDs in
+            placement order.  It fixes the key order of ``actions`` (and
+            so of the JSON artifact) and nothing else.
+    """
 
     def __init__(
         self,
         grammar: Grammar,
         method: str,
-        actions: List[Dict[Symbol, Action]],
-        gotos: List[Dict[Symbol, int]],
+        action_codes,
+        goto_codes,
         conflicts: List[Conflict],
+        row_order: "Optional[Dict[int, List[int]]]" = None,
     ):
         self.grammar = grammar
-        #: Which construction produced the table: "lr0", "slr1", "lalr1", "clr1".
         self.method = method
-        self.actions = actions
-        self.gotos = gotos
+        self.action_codes = action_codes
+        self.goto_codes = goto_codes
         self.conflicts = conflicts
-
-        # Dense ID-indexed twins of the dict rows: the engine's fast path.
+        self.row_order: Dict[int, List[int]] = {} if row_order is None else row_order
         ids = grammar.ids
-        terminal_id = ids.terminal_id
-        nonterminal_id = ids.nonterminal_id
-        num_terminals = ids.num_terminals
-        empty_goto_row = array("i", [-1]) * ids.num_nonterminals
-        self.action_rows: List[List[Optional[Action]]] = []
-        for row in actions:
-            dense: List[Optional[Action]] = [None] * num_terminals
-            for terminal, action in row.items():
-                dense[terminal_id(terminal)] = action
-            self.action_rows.append(dense)
-        self.goto_rows: List["array"] = []
-        for row in gotos:
-            goto_dense = array(empty_goto_row.typecode, empty_goto_row)
-            for nonterminal, target in row.items():
-                goto_dense[nonterminal_id(nonterminal)] = target
-            self.goto_rows.append(goto_dense)
-
-    @classmethod
-    def from_rows(
-        cls,
-        grammar: Grammar,
-        method: str,
-        actions: List[Dict[Symbol, Action]],
-        gotos: List[Dict[Symbol, int]],
-        conflicts: List[Conflict],
-        action_rows: "List[List[Optional[Action]]]",
-        goto_rows: "List[array]",
-    ) -> "ParseTable":
-        """Assemble a table from prebuilt dict *and* dense rows.
-
-        The incremental refill path uses this to share the untouched
-        rows of a previous table object-for-object instead of paying
-        ``__init__``'s dense-row reconstruction for every state.  The
-        caller guarantees the dense rows mirror the dict rows.
-        """
-        self = object.__new__(cls)
-        self.grammar = grammar
-        self.method = method
-        self.actions = actions
-        self.gotos = gotos
-        self.conflicts = conflicts
-        self.action_rows = action_rows
-        self.goto_rows = goto_rows
-        return self
-
-    @property
-    def n_states(self) -> int:
-        return len(self.actions)
+        width = self.num_terminals = ids.num_terminals
+        n_nts = self.num_nonterminals = ids.num_nonterminals
+        n_states = self.n_states = (
+            len(action_codes) // width if width else len(goto_codes) // n_nts
+        )
+        decoder = self.decoder = ActionDecoder()
+        # Partials over the arrays, not bound methods: no reference cycle,
+        # so a table mapped from a file is released as soon as it is
+        # dropped.
+        self.action_rows = LazyRows(
+            n_states, partial(_action_row, action_codes, width, decoder)
+        )
+        self.goto_rows = LazyRows(n_states, partial(_goto_row, goto_codes, n_nts))
+        self.actions = LazyRows(
+            n_states,
+            partial(
+                _action_dict,
+                action_codes,
+                width,
+                self.row_order,
+                ids.terminals,
+                decoder,
+            ),
+        )
+        self.gotos = LazyRows(
+            n_states, partial(_goto_dict, goto_codes, n_nts, ids.nonterminals)
+        )
 
     @property
     def is_deterministic(self) -> bool:
@@ -207,8 +381,8 @@ class ParseTable:
 
     def size_cells(self) -> int:
         """Number of populated table cells (actions + gotos)."""
-        return sum(len(row) for row in self.actions) + sum(
-            len(row) for row in self.gotos
+        return _count_populated(self.action_codes, ACTION_ERROR) + _count_populated(
+            self.goto_codes, -1
         )
 
     def format(self, max_states: int = 0) -> str:

@@ -112,6 +112,15 @@ class TestAlgorithmDoc:
         assert stats["stored_cells"] == 75
         assert round(stats["dense_cells"] / stats["stored_cells"], 2) == 1.73
 
+    def test_section_11_keyword_statement_1600_size(self):
+        # §11: "8009 states × 1606 terminals, 12.9 M action cells".
+        from repro.grammars.families import keyword_statement_family
+
+        grammar = keyword_statement_family(1600).augmented()
+        states = len(LR0Automaton(grammar))
+        assert (states, grammar.ids.num_terminals) == (8009, 1606)
+        assert round(states * 1606 / 1e6, 1) == 12.9
+
     def test_section_14_header_layout(self):
         # §14's offset table: 32-byte fixed header + 64-char fingerprint.
         from repro.tables.binfmt import _HEADER

@@ -150,6 +150,18 @@ class TestAugmentation:
         augmented = simple_grammar().augmented()
         assert augmented.eof.is_eof
 
+    def test_augmenting_is_memoized(self):
+        from repro.grammar.fingerprint import grammar_fingerprint
+
+        original = simple_grammar()
+        first = original.augmented()
+        n_symbols = len(original.symbols)
+        second = original.augmented()
+        assert second is first
+        assert second.start is first.start and first.start.name == "S'"
+        assert grammar_fingerprint(second) == grammar_fingerprint(first)
+        assert len(original.symbols) == n_symbols
+
     def test_fresh_start_collision_avoided(self):
         builder = GrammarBuilder()
         builder.rule("S", ["S'", "a"])

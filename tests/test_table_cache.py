@@ -52,6 +52,15 @@ class TestRoundTrip:
         assert second.actions == first.actions
         assert second.gotos == first.gotos
 
+    def test_reused_unaugmented_grammar_hits(self, cache):
+        # The service path: augment the same Grammar object per request.
+        raw = corpus.load("expr")
+        builder, calls = _build_calls(build_lalr_table)
+        cache.load_or_build(raw.augmented(), "lalr1", builder)
+        cache.load_or_build(raw.augmented(), "lalr1", builder)
+        assert len(calls) == 1
+        assert cache.stats() == {"hits": 1, "misses": 1, "corrupt": 0, "stores": 1}
+
     def test_methods_are_keyed_separately(self, grammar, cache):
         lalr = cache.load_or_build(grammar, "lalr1", build_lalr_table)
         slr = cache.load_or_build(grammar, "slr1", build_slr_table)
