@@ -47,18 +47,22 @@ def _drive(
     requests: int,
     clients: int,
 ) -> "Tuple[Dict[str, bytes], float, int]":
-    """Compile each grammar, then hammer /parse from *clients* threads.
+    """Compile each grammar, then hammer /parse from *clients* threads
+    (with the GLR engine where ``/compile`` reports conflicts).
 
     Returns (parse body per grammar, elapsed seconds, total parses).
     """
     from ..service import Client
 
-    jobs: "List[Tuple[str, List[str]]]" = []
+    jobs: "List[Tuple[str, dict]]" = []
     for name in grammars:
         response = Client(port).post("/compile", {"corpus": name})
         assert response.status == 200, (name, response.status)
-        tokens = grammar_tokens(name)
-        jobs.extend((name, tokens) for _ in range(requests))
+        payload = {"corpus": name, "input": grammar_tokens(name)}
+        if not response.json()["deterministic"]:
+            # The LR engine refuses conflicted tables (HTTP 422).
+            payload["engine"] = "glr"
+        jobs.extend((name, payload) for _ in range(requests))
 
     bodies: "Dict[str, bytes]" = {}
     failures: "List[str]" = []
@@ -72,8 +76,8 @@ def _drive(
                 index = next(cursor, None)
             if index is None:
                 return
-            name, tokens = jobs[index]
-            response = client.post("/parse", {"corpus": name, "input": tokens})
+            name, payload = jobs[index]
+            response = client.post("/parse", payload)
             with lock:
                 if response.status != 200:
                     failures.append(f"{name}: HTTP {response.status}")

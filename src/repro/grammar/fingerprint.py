@@ -50,7 +50,14 @@ def grammar_fingerprint(grammar: Grammar) -> str:
     dense IDs are assigned re-keys every cached table, because the
     ID-indexed rows rebuilt at load time must match the layout the table
     was validated under.
+
+    The digest is computed once per grammar object (grammars are
+    immutable after construction) and kept on it, keyed by the layout
+    version it was taken under.
     """
+    cached = grammar._fingerprint
+    if cached is not None and cached[0] == ID_LAYOUT_VERSION:
+        return cached[1]
     payload = {
         "id_layout": ID_LAYOUT_VERSION,
         "start": grammar.start.name,
@@ -65,7 +72,9 @@ def grammar_fingerprint(grammar: Grammar) -> str:
         ),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
-    return hashlib.sha256(blob).hexdigest()
+    digest = hashlib.sha256(blob).hexdigest()
+    grammar._fingerprint = (ID_LAYOUT_VERSION, digest)
+    return digest
 
 
 #: The in-memory session memo key is the same digest: one sha256 over one

@@ -101,6 +101,10 @@ class Grammar:
         # start symbol into the shared symbol table, so a second one would
         # be a different grammar (``E''``) with a different fingerprint.
         self._augmented: "Optional[Grammar]" = None
+        # (ID layout version, digest) of grammar_fingerprint, made once:
+        # the cache load, the store, the binary writer and the /compile
+        # body all ask for it.
+        self._fingerprint: "Optional[Tuple[int, str]]" = None
 
     def _validate(self) -> None:
         table_symbols = set(self.symbols)

@@ -76,7 +76,14 @@ def normalise_token(grammar: Grammar, token: TokenLike, position: int) -> Token:
         return Token(token, token.name)
     if isinstance(token, str):
         symbol = grammar.symbols.get(token)
-        if symbol is None or symbol.is_nonterminal:
+        # Edited versions of a grammar share its SymbolTable, so a name a
+        # later version interned resolves there; it is still not a
+        # terminal of this grammar, whose ID layout predates it.
+        if (
+            symbol is None
+            or symbol.is_nonterminal
+            or grammar.ids.sid_or_none(symbol) is None
+        ):
             raise ParseError(
                 f"unknown terminal {token!r} at position {position}",
                 position,

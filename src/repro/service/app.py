@@ -235,9 +235,47 @@ def fuzz_result(payload: dict) -> dict:
     }
 
 
-def _grammar_from_spec(spec) -> Grammar:
+class GrammarMemo:
+    """Corpus name -> one parsed :class:`Grammar`, already augmented and
+    fingerprinted, shared by every request of one serving process (each
+    pool worker holds its own).  At most one entry per corpus grammar.
+
+    Callers must not edit a shared grammar: the ``grammar.delta``
+    helpers intern new symbols into its SymbolTable, which is why
+    sessions take a private :func:`corpus.load` instead.
+    """
+
+    def __init__(self) -> None:
+        self._grammars: "Dict[str, Grammar]" = {}
+        # Entries are made under the lock: augmenting mints the start
+        # symbol into the grammar's SymbolTable, and two threads doing it
+        # at once would mint two.
+        self._lock = threading.Lock()
+
+    def corpus(self, name: str) -> Grammar:
+        """The corpus grammar *name* (raises ``KeyError`` if unknown)."""
+        grammar = self._grammars.get(name)
+        if grammar is None:
+            with self._lock:
+                grammar = self._grammars.get(name)
+                if grammar is None:
+                    grammar = corpus.load(name)
+                    grammar_fingerprint(grammar.augmented())
+                    self._grammars[name] = grammar
+                    instrument.count("service.grammar.ingested")
+                    return grammar
+        instrument.count("service.grammar.shared")
+        return grammar
+
+
+def _grammar_from_spec(spec, memo: "Optional[GrammarMemo]" = None) -> Grammar:
     """A grammar from a payload spec: ``{"corpus": name}``,
-    ``{"grammar": text, "name": ...}``, or a ``"corpus:<name>"`` string."""
+    ``{"grammar": text, "name": ...}``, or a ``"corpus:<name>"`` string.
+
+    Corpus specs resolve through *memo* when one is given; without one
+    (sessions, which edit their grammar, and batch jobs) they are parsed
+    afresh.  Text specs are parsed on every call.
+    """
     if isinstance(spec, str):
         if spec.startswith("corpus:"):
             spec = {"corpus": spec.split(":", 1)[1]}
@@ -248,19 +286,25 @@ def _grammar_from_spec(spec) -> Grammar:
     if "corpus" in spec:
         name = spec["corpus"]
         try:
-            return corpus.load(name)
+            if memo is not None:
+                return memo.corpus(name)
+            grammar = corpus.load(name)
         except KeyError:
             raise HttpError(
                 422, "unknown_corpus",
                 f"no corpus grammar {name!r} (known: {', '.join(corpus.names())})",
             )
+        instrument.count("service.grammar.ingested")
+        return grammar
     if "grammar" in spec:
         try:
-            return load_grammar(
+            grammar = load_grammar(
                 str(spec["grammar"]), name=str(spec.get("name", "grammar"))
             )
         except GrammarError as error:
             raise HttpError(422, "grammar_error", str(error))
+        instrument.count("service.grammar.ingested")
+        return grammar
     raise HttpError(400, "missing_grammar", "payload needs 'grammar' or 'corpus'")
 
 
@@ -378,6 +422,7 @@ class GrammarService:
         )
         self.cache_dir = cache_dir
         self.cache_backend = cache_backend
+        self.grammars = GrammarMemo()
         self.metrics = MetricsRegistry()
         self.jobs = JobQueue(
             self._run_job, workers=job_workers, capacity=queue_capacity,
@@ -527,7 +572,8 @@ class GrammarService:
         method = _method_of(payload)
         result = await self._run(
             lambda: compile_result(
-                _grammar_from_spec(payload), method, self.cache, budget
+                _grammar_from_spec(payload, self.grammars), method, self.cache,
+                budget,
             )
         )
         return Response.json(result)
@@ -545,7 +591,9 @@ class GrammarService:
             )
         budget = budget_from_headers(request.headers)
         result = await self._run(
-            lambda: analyze_result(_grammar_from_spec(payload), budget)
+            lambda: analyze_result(
+                _grammar_from_spec(payload, self.grammars), budget
+            )
         )
         return Response.json(result)
 
@@ -562,8 +610,8 @@ class GrammarService:
         engine = _engine_of(payload)
         result = await self._run(
             lambda: parse_result(
-                _grammar_from_spec(payload), tokens, method, tree, self.cache,
-                budget, engine,
+                _grammar_from_spec(payload, self.grammars), tokens, method,
+                tree, self.cache, budget, engine,
             )
         )
         return Response.json(result)
@@ -727,7 +775,8 @@ class GrammarService:
                 budget = None
                 method = _method_of(job.payload)
                 return compile_result(
-                    _grammar_from_spec(job.payload), method, self.cache, budget
+                    _grammar_from_spec(job.payload, self.grammars), method,
+                    self.cache, budget,
                 )
             raise HttpError(400, "unknown_job_kind", f"no job kind {job.kind!r}")
         finally:

@@ -68,7 +68,9 @@ def fork_available() -> bool:
     return "fork" in multiprocessing.get_all_start_methods()
 
 
-def _execute(kind: str, payload: dict, headers: "Dict[str, str]", cache):
+def _execute(
+    kind: str, payload: dict, headers: "Dict[str, str]", cache, grammars
+):
     """One request, executed with the same validation order the
     in-process handlers use — divergence here would break the
     single-vs-multi-worker bit-identity contract."""
@@ -87,7 +89,9 @@ def _execute(kind: str, payload: dict, headers: "Dict[str, str]", cache):
     if kind == "compile":
         budget = budget_from_headers(headers)
         method = _method_of(payload)
-        return compile_result(_grammar_from_spec(payload), method, cache, budget)
+        return compile_result(
+            _grammar_from_spec(payload, grammars), method, cache, budget
+        )
     if kind == "parse":
         budget = budget_from_headers(headers)
         method = _method_of(payload)
@@ -95,11 +99,12 @@ def _execute(kind: str, payload: dict, headers: "Dict[str, str]", cache):
         tree = bool(payload.get("tree"))
         engine = _engine_of(payload)
         return parse_result(
-            _grammar_from_spec(payload), tokens, method, tree, cache, budget, engine
+            _grammar_from_spec(payload, grammars), tokens, method, tree, cache,
+            budget, engine,
         )
     if kind == "analyze":
         budget = budget_from_headers(headers)
-        return analyze_result(_grammar_from_spec(payload), budget)
+        return analyze_result(_grammar_from_spec(payload, grammars), budget)
     if kind == "fuzz":
         return fuzz_result(payload)
     raise HttpError(400, "unknown_job_kind", f"no pool request kind {kind!r}")
@@ -115,12 +120,14 @@ def _worker_main(
 ) -> None:
     """The forked worker loop: pull, execute, ship (result, counters)."""
     from ..tables import TableCache
+    from .app import GrammarMemo
 
     cache = (
         TableCache(cache_dir, backend=backend, hot_capacity=hot_capacity)
         if cache_dir
         else None
     )
+    grammars = GrammarMemo()
     while True:
         try:
             item = inbox.get()
@@ -132,7 +139,7 @@ def _worker_main(
         prof = instrument.profile()
         collector = prof.__enter__()
         try:
-            result = _execute(kind, payload, headers, cache)
+            result = _execute(kind, payload, headers, cache, grammars)
             status, body = "ok", result
         except HttpError as error:
             status = "http_error"

@@ -64,6 +64,46 @@ class TestGrammarFingerprint:
         int(digest, 16)
 
 
+def _count_grammar_hashes(monkeypatch) -> list:
+    """Record every sha256 the fingerprint module takes from here on."""
+    from types import SimpleNamespace
+
+    from repro.grammar import fingerprint
+
+    calls = []
+
+    def sha256(blob=b""):
+        calls.append(blob)
+        return hashlib.sha256(blob)
+
+    monkeypatch.setattr(fingerprint, "hashlib", SimpleNamespace(sha256=sha256))
+    return calls
+
+
+class TestFingerprintOncePerGrammar:
+    def test_repeat_calls_reuse_the_digest(self, monkeypatch):
+        calls = _count_grammar_hashes(monkeypatch)
+        grammar = load_grammar(EXPR).augmented()
+        first = grammar_fingerprint(grammar)
+        assert grammar_fingerprint(grammar) == first
+        assert grammar_fingerprint(load_grammar(EXPR).augmented()) == first
+        assert len(calls) == 2  # once per grammar object
+
+    @pytest.mark.parametrize("backend", ["json", "bin"])
+    def test_a_compile_miss_hashes_the_grammar_once(self, monkeypatch, tmp_path, backend):
+        # TableCache.load, TableCache.store, the artifact writer and the
+        # /compile body all need the digest.
+        from repro.service import compile_result
+        from repro.tables import TableCache
+
+        cache = TableCache(str(tmp_path), backend=backend)
+        calls = _count_grammar_hashes(monkeypatch)
+        result = compile_result(load_grammar(EXPR, name="expr"), cache=cache)
+        assert cache.stores == 1
+        assert len(calls) == 1
+        assert result["fingerprint"] == hashlib.sha256(calls[0]).hexdigest()
+
+
 class TestProductionFingerprint:
     def test_index_free(self):
         # The same rule stated at different positions hashes the same.
