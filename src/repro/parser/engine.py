@@ -16,13 +16,15 @@ which is how the calculator example evaluates on the fly.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Iterable, List, NamedTuple, Sequence, Union
 
 from ..core import instrument
 from ..grammar.grammar import Grammar
 from ..grammar.production import Production
 from ..grammar.symbols import Symbol
-from ..tables.table import ParseTable, decoded_rows
+from ..tables.specialize import specialized_view
+from ..tables.table import ParseTable
 from .errors import ConflictedTableError, ParseError, syntax_error
 from .tree import Node
 
@@ -127,19 +129,19 @@ class Parser:
                 )
             instrument.count("parser.conflicted_table")
         self._eof = self.grammar.eof
-        # The hot loop works in the grammar's integer ID layout: tokens
-        # are mapped to terminal IDs once each, then every ACTION/GOTO
-        # lookup is a flat list index (no Symbol hashing per action).
+        # The loop works in the grammar's integer ID layout: tokens are
+        # mapped to terminal IDs once each, then every ACTION/GOTO lookup
+        # is a flat list index (no Symbol hashing per action).
         self._ids = self.grammar.ids
         self._eof_tid = self._ids.terminal_id(self._eof)
-        # SpecializedTable (repro.tables.specialize) carries flat integer
-        # code arrays; the engine then runs the fused integer loop below
-        # instead of the generic Action-object loop.
-        self._specialized = bool(getattr(table, "is_specialized", False))
+        # The table's code arrays as plain lists plus the loop's extras
+        # (default reductions, arities, LHS indices), built once per table
+        # object and shared by every Parser over it.
+        self._view = specialized_view(table)
         # Name-string tokens resolve to the same (Token, tid) pair every
-        # time; the specialized loop memoizes that resolution.  Only
-        # successful resolutions are cached, so unknown-terminal and
-        # nonterminal-name errors still take _normalise's path verbatim.
+        # time; the loop memoizes that resolution.  Only successful
+        # resolutions are cached, so unknown-terminal and nonterminal-name
+        # errors still take _normalise's path verbatim.
         self._tok_cache: dict = {}
 
     # -- public API ---------------------------------------------------
@@ -223,138 +225,30 @@ class Parser:
         budget=None,
     ) -> object:
         with instrument.span("parse.run"):
-            if self._specialized:
-                return self._run_specialized_loop(tokens, reduce_fn, shift_fn, budget)
-            return self._run_loop(tokens, reduce_fn, shift_fn, budget)
+            return self._loop(tokens, reduce_fn, shift_fn, budget)
 
-    def _run_loop(
+    def _loop(
         self,
         tokens: Iterable[TokenLike],
         reduce_fn: Callable[[Production, Sequence[object]], object],
         shift_fn: Callable[[Token], object],
         budget=None,
     ) -> object:
-        if budget is not None:
-            budget.enter_phase("parse")
-        state_stack: List[int] = [0]
-        value_stack: List[object] = []
+        """The shift-reduce loop over the table's integer code arrays.
 
-        ids = self._ids
-        sid_or_none = ids.sid_or_none
-        num_terminals = ids.num_terminals
-        action_rows = self.table.action_rows
-        goto_rows = self.table.goto_rows
-        # Rows already decoded (None = not yet): a hit costs a list index.
-        action_decoded = decoded_rows(action_rows)
-        goto_decoded = decoded_rows(goto_rows)
-        productions = self.grammar.productions
-
-        # Pull tokens lazily: the stream may be an unbounded generator, so
-        # peak memory must stay O(parse stack), never O(input length).
-        stream = iter(tokens)
-        eof_token = Token(self._eof, None)
-        position = 0
-        shifts = 0
-        reduces = 0
-
-        try:
-            raw = next(stream)
-        except StopIteration:
-            token, tid = eof_token, self._eof_tid
-        else:
-            token = self._normalise(raw, position)
-            # None for symbols outside this grammar: the action lookup
-            # below then takes the ordinary syntax-error path.
-            tid = sid_or_none(token.symbol)
-
-        try:
-            while True:
-                if budget is not None:
-                    budget.charge_parse_step()
-                row = action_decoded[state_stack[-1]]
-                if row is None:
-                    row = action_rows[state_stack[-1]]
-                action = row[tid] if tid is not None else None
-                if action is None:
-                    raise self._syntax_error(position, token, state_stack[-1])
-                if action.kind == "shift":
-                    value_stack.append(shift_fn(token))
-                    state_stack.append(action.state)
-                    position += 1
-                    shifts += 1
-                    if budget is not None:
-                        budget.charge_tokens(1)
-                    try:
-                        raw = next(stream)
-                    except StopIteration:
-                        token, tid = eof_token, self._eof_tid
-                    else:
-                        token = self._normalise(raw, position)
-                        tid = sid_or_none(token.symbol)
-                    continue
-                if action.kind == "reduce":
-                    production = productions[action.production]
-                    arity = len(production.rhs_sids)
-                    if arity:
-                        children = value_stack[-arity:]
-                        del value_stack[-arity:]
-                        del state_stack[-arity:]
-                    else:
-                        children = []
-                    value_stack.append(reduce_fn(production, children))
-                    row = goto_decoded[state_stack[-1]]
-                    if row is None:
-                        row = goto_rows[state_stack[-1]]
-                    goto = row[production.lhs_sid - num_terminals]
-                    if goto < 0:  # pragma: no cover - tables are consistent
-                        raise self._syntax_error(position, token, state_stack[-1])
-                    state_stack.append(goto)
-                    reduces += 1
-                    continue
-                # accept: the value stack holds exactly the start symbol's value.
-                assert action.kind == "accept"
-                if tid != self._eof_tid:  # pragma: no cover - table invariant
-                    raise self._syntax_error(position, token, state_stack[-1])
-                if len(value_stack) != 1:  # pragma: no cover - table invariant
-                    raise ParseError(
-                        "internal error: value stack not a singleton at accept",
-                        position,
-                        token.symbol,
-                        state_stack[-1],
-                        [],
-                    )
-                return value_stack[0]
-        finally:
-            if budget is not None:
-                budget.publish()
-            if instrument.enabled():
-                instrument.count("parse.tokens", position)
-                instrument.count("parse.shifts", shifts)
-                instrument.count("parse.reduces", reduces)
-                instrument.count("parse.actions", shifts + reduces)
-
-    def _run_specialized_loop(
-        self,
-        tokens: Iterable[TokenLike],
-        reduce_fn: Callable[[Production, Sequence[object]], object],
-        shift_fn: Callable[[Token], object],
-        budget=None,
-    ) -> object:
-        """The integer hot loop over a SpecializedTable.
-
-        Semantically a line-for-line mirror of :meth:`_run_loop` — same
-        budget charges in the same order, same instrument counters, same
-        error states — but dispatch is ``code & 3`` over flat
-        local-variable-bound lists, reduce→goto chains are fused into the
-        inner loop, and states whose rows reduce identically on every
-        terminal skip the look-ahead consultation entirely
-        (``default_codes``).  Byte-identity vs the plain loop is pinned
-        corpus-wide by tests/test_specialize.py and the fuzz
-        representation-parity oracle.
+        Dispatch is ``code & 3`` over flat local-variable-bound lists,
+        reduce→goto chains are fused into the inner loop, and states
+        whose rows reduce identically on every terminal skip the
+        look-ahead consultation entirely (``default_codes``).  Each
+        action charges the budget once, before it is taken.  A reference
+        loop over decoded :class:`~repro.tables.table.Action` rows, kept
+        in the test suite, pins trees, traces, errors, budget exhaustion
+        points, instrument counters and recovery corpus-wide
+        (tests/test_specialize.py).
         """
         if budget is not None:
             budget.enter_phase("parse")
-        table = self.table
+        table = self._view
         state_stack: List[int] = [0]
         value_stack: List[object] = []
 
@@ -371,6 +265,8 @@ class Parser:
         lhs_nts = table.lhs_nts
         productions = self.grammar.productions
 
+        # Pull tokens lazily: the stream may be an unbounded generator, so
+        # peak memory must stay O(parse stack), never O(input length).
         stream = iter(tokens)
         eof_token = Token(self._eof, None)
         eof_tid = self._eof_tid
@@ -384,14 +280,17 @@ class Parser:
         except StopIteration:
             token, tid = eof_token, eof_tid
         else:
-            entry = tok_cache_get(raw) if type(raw) is str else None
-            if entry is not None:
+            if type(raw) is str:
+                entry = tok_cache_get(raw)
+                if entry is None:
+                    token = normalise(raw, position)
+                    entry = tok_cache[raw] = (token, sid_or_none(token.symbol))
                 token, tid = entry
             else:
+                # Token (what Lexer yields) or Symbol; None for symbols
+                # outside this grammar, which the dispatch rejects.
                 token = normalise(raw, position)
                 tid = sid_or_none(token.symbol)
-                if type(raw) is str:
-                    tok_cache[raw] = (token, tid)
 
         try:
             while True:
@@ -451,14 +350,18 @@ class Parser:
                     except StopIteration:
                         token, tid = eof_token, eof_tid
                     else:
-                        entry = tok_cache_get(raw) if type(raw) is str else None
-                        if entry is not None:
+                        if type(raw) is str:
+                            entry = tok_cache_get(raw)
+                            if entry is None:
+                                token = normalise(raw, position)
+                                entry = tok_cache[raw] = (
+                                    token,
+                                    sid_or_none(token.symbol),
+                                )
                             token, tid = entry
                         else:
                             token = normalise(raw, position)
                             tid = sid_or_none(token.symbol)
-                            if type(raw) is str:
-                                tok_cache[raw] = (token, tid)
                     continue
                 # code == 0: error cell
                 raise self._syntax_error(position, token, state)
@@ -472,14 +375,11 @@ class Parser:
                 instrument.count("parse.actions", shifts + reduces)
 
     def _syntax_error(self, position: int, token: Token, state: int) -> ParseError:
-        # The expected set comes from the dense row, not the Symbol-keyed
-        # `actions` dict: on a CompressedTable the dict holds only the
-        # cells not folded into the row's default reduce, which would
-        # understate what the parser actually accepts in this state.
-        row = self.table.action_rows[state]
+        width = self._view.num_terminals
+        row = self._view.action_codes[state * width : (state + 1) * width]
         by_sid = self._ids.by_sid
         expected = sorted(
-            (by_sid[tid] for tid in range(len(row)) if row[tid] is not None),
+            (by_sid[tid] for tid in compress(range(width), row)),
             key=lambda s: s.name,
         )
         # The end marker is an augmentation artifact; the shared formatter

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Sequence
 
 from ..grammar.symbols import Symbol
-from ..tables.table import decoded_rows
+from ..tables.table import ACTION_ERROR, ACTION_REDUCE, ACTION_SHIFT
 from .engine import Parser, Token, TokenLike
 from .errors import ParseError
 
@@ -47,21 +47,21 @@ class RecoveringParser:
     ) -> List[ParseError]:
         """Parse *tokens*, recovering at sync points; returns all errors.
 
-        Drives the same dense ``action_rows``/``goto_rows`` fast path as
-        the engine, so error detection states, positions and expected
-        sets are identical to a plain :meth:`Parser.parse` of the same
-        prefix — on compressed tables included.  A *budget* bounds the
-        whole check with the engine's token/step/deadline limits.
+        Reads the same integer code arrays as the engine, so error
+        detection states, positions and expected sets are identical to a
+        plain :meth:`Parser.parse` of the same prefix — on compressed
+        tables included.  A *budget* bounds the whole check with the
+        engine's token/step/deadline limits.
         """
         parser = self.parser
-        ids = parser._ids
-        sid_or_none = ids.sid_or_none
-        num_terminals = ids.num_terminals
-        action_rows = parser.table.action_rows
-        goto_rows = parser.table.goto_rows
-        action_decoded = decoded_rows(action_rows)
-        goto_decoded = decoded_rows(goto_rows)
-        productions = self.grammar.productions
+        view = parser._view
+        width = view.num_terminals
+        n_nts = view.num_nonterminals
+        action_codes = view.action_codes
+        goto_codes = view.goto_codes
+        arities = view.arities
+        lhs_nts = view.lhs_nts
+        sid_or_none = parser._ids.sid_or_none
 
         stream = [parser._normalise(t, i) for i, t in enumerate(tokens)]
         stream.append(Token(self.grammar.eof, None))
@@ -80,15 +80,15 @@ class RecoveringParser:
                 if budget is not None:
                     budget.charge_parse_step()
                 tid = tids[position]
-                row = action_decoded[state_stack[-1]]
-                if row is None:
-                    row = action_rows[state_stack[-1]]
-                action = row[tid] if tid is not None else None
+                state = state_stack[-1]
+                code = (
+                    action_codes[state * width + tid]
+                    if tid is not None
+                    else ACTION_ERROR
+                )
 
-                if action is None:
-                    error = parser._syntax_error(
-                        position, stream[position], state_stack[-1]
-                    )
+                if code == ACTION_ERROR:
+                    error = parser._syntax_error(position, stream[position], state)
                     errors.append(error)
                     if len(errors) >= max_errors:
                         return errors
@@ -98,21 +98,19 @@ class RecoveringParser:
                     position = recovered
                     continue
 
-                if action.kind == "shift":
-                    state_stack.append(action.state)
+                tag = code & 3
+                if tag == ACTION_SHIFT:
+                    state_stack.append(code >> 2)
                     position += 1
                     if budget is not None:
                         budget.charge_tokens(1)
                     continue
-                if action.kind == "reduce":
-                    production = productions[action.production]
-                    arity = len(production.rhs_sids)
+                if tag == ACTION_REDUCE:
+                    prod_index = code >> 2
+                    arity = arities[prod_index]
                     if arity:
                         del state_stack[-arity:]
-                    row = goto_decoded[state_stack[-1]]
-                    if row is None:
-                        row = goto_rows[state_stack[-1]]
-                    goto = row[production.lhs_sid - num_terminals]
+                    goto = goto_codes[state_stack[-1] * n_nts + lhs_nts[prod_index]]
                     if goto < 0:
                         # Recovery left the stack in a dead configuration.
                         return errors
@@ -133,7 +131,9 @@ class RecoveringParser:
 
         Returns the position to resume at, or None when unrecoverable.
         """
-        action_rows = self.parser.table.action_rows
+        view = self.parser._view
+        action_codes = view.action_codes
+        width = view.num_terminals
         sync_tids = self._sync_tids
         eof_tid = self.parser._eof_tid
         index = position
@@ -150,7 +150,8 @@ class RecoveringParser:
                 follower_tid = tids[index + 1]
                 if follower_tid is not None:
                     for depth in range(len(state_stack)):
-                        if action_rows[state_stack[depth]][follower_tid] is not None:
+                        cell = state_stack[depth] * width + follower_tid
+                        if action_codes[cell] != ACTION_ERROR:
                             del state_stack[depth + 1 :]
                             return index + 1
                 del state_stack[1:]

@@ -12,10 +12,10 @@ error is detected — but never an extra *shift*, so no input is ever
 wrongly accepted, and the error position can move only past reductions,
 never past consumed tokens.  This is the same contract Bison documents.
 Here that deferred-detection behaviour lives only in the Symbol-keyed
-:meth:`CompressedTable.action` lookup; the dense rows the engine drives
-resolve every default back into the cells it was folded from, so engine
-error *messages and positions* are identical to the uncompressed table
-(the expected-set regression tests pin this down).
+:meth:`CompressedTable.action` lookup; the code arrays the engine drives
+are the source table's, with every default still in the cells it was
+folded from, so engine error *messages and positions* are identical to
+the uncompressed table (the expected-set regression tests pin this down).
 """
 
 from __future__ import annotations
@@ -39,9 +39,9 @@ class CompressedTable:
       default on any miss — the classic yacc storage scheme, where
       erroneous lookaheads may trigger a few extra reductions before
       the error surfaces.
-    - ``action_rows`` (the engine's dense fast path) resolves each
-      default into exactly the cells it was folded *from* at
-      construction time; genuine error cells stay empty.  The engine
+    - ``action_codes`` (what the engine drives) are the source table's
+      own, so each default stays in exactly the cells it
+      was folded *from*; genuine error cells stay empty.  The engine
       therefore detects errors in the identical state, at the identical
       position, with the identical expected set as the uncompressed
       table — compression is a storage measure (:meth:`size_cells`),
@@ -70,11 +70,11 @@ class CompressedTable:
         self.defaults: List[Optional[Reduce]] = []
         self.actions: List[Dict[Symbol, Action]] = []
         self._compress(table)
-        # Dense ID-indexed rows for the engine's fast path: the source
-        # table's own rows, i.e. every folded default already resolved
-        # into its original cells and nothing else.
-        self.action_rows = table.action_rows
-        self.goto_rows = table.goto_rows
+        # The source table's own code arrays, i.e. every folded default
+        # still in its original cells and nothing else.
+        self.action_codes = table.action_codes
+        self.goto_codes = table.goto_codes
+        self.row_order = table.row_order
 
     def _compress(self, table: ParseTable) -> None:
         for row in table.actions:

@@ -14,12 +14,12 @@ Storage drops from ``n_states * n_columns`` dense cells to roughly the
 number of *populated* cells (plus comb gaps), while lookup stays O(1).
 GOTO rows are packed the same way into their own comb.
 
-Everything observable is unchanged: :class:`DisplacedTable` exposes the
-same ``action_rows``/``goto_rows`` dense-row interface the parse engine
-drives (rows are lazy views over the packed arrays), so parses, error
-positions, messages and expected sets are byte-identical to the plain
-:class:`~repro.tables.table.ParseTable` — the representation-parity
-tests and the fuzz oracle pin this down.
+Everything observable is unchanged: :class:`DisplacedTable` keeps the
+source table's code arrays and views, so the parse engine drives it like
+the plain :class:`~repro.tables.table.ParseTable`; the packed arrays are
+an encoding of those codes (what ``packing_stats``, the compression
+report and the ``displace`` codegen style consume), checked cell for
+cell against the dense rows by ``tests/test_displace.py``.
 
 The packed values are a :class:`~repro.tables.table.ParseTable`'s
 ``action_codes`` cells, in the integer **action encoding** defined in
@@ -39,14 +39,13 @@ any artifact serialised from them — are a pure function of the table.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .table import (  # noqa: F401 - the encoding is re-exported from here
     ACTION_ACCEPT,
     ACTION_ERROR,
     ACTION_REDUCE,
     ACTION_SHIFT,
-    Action,
     ActionDecoder,
     ParseTable,
     encode_action,
@@ -111,66 +110,13 @@ def pack_rows(
     return displacements, array("i", check), array("i", values)
 
 
-class _PackedActionRow:
-    """One state's ACTION row, viewed through the packed comb arrays.
-
-    Supports exactly what the engine's hot loop and ``_syntax_error``
-    use: ``row[tid]`` (an :class:`Action` or None) and ``len(row)``.
-    """
-
-    __slots__ = ("_table", "_state", "_displacement")
-
-    def __init__(self, table: "DisplacedTable", state: int):
-        self._table = table
-        self._state = state
-        self._displacement = table.action_displacements[state]
-
-    def __len__(self) -> int:
-        return self._table.num_terminals
-
-    def __getitem__(self, terminal_id: int) -> "Optional[Action]":
-        table = self._table
-        if not 0 <= terminal_id < table.num_terminals:
-            raise IndexError(terminal_id)
-        slot = self._displacement + terminal_id
-        check = table.action_check
-        if 0 <= slot < len(check) and check[slot] == self._state:
-            return table.decoder.decode(table.action_values[slot])
-        return None
-
-
-class _PackedGotoRow:
-    """One state's GOTO row over the packed comb (``-1`` means absent)."""
-
-    __slots__ = ("_table", "_state", "_displacement")
-
-    def __init__(self, table: "DisplacedTable", state: int):
-        self._table = table
-        self._state = state
-        self._displacement = table.goto_displacements[state]
-
-    def __len__(self) -> int:
-        return self._table.num_nonterminals
-
-    def __getitem__(self, nt_id: int) -> int:
-        table = self._table
-        if not 0 <= nt_id < table.num_nonterminals:
-            raise IndexError(nt_id)
-        slot = self._displacement + nt_id
-        check = table.goto_check
-        if 0 <= slot < len(check) and check[slot] == self._state:
-            return table.goto_values[slot]
-        return -1
-
-
 class DisplacedTable(ParseTable):
-    """A ParseTable whose rows are served from shared displacement (comb)
-    arrays.
+    """A ParseTable plus its displacement (comb) packing.
 
-    It keeps the source table's code arrays, conflicts and Symbol-keyed
-    views, and replaces ``action_rows``/``goto_rows`` with lazy views
-    over the packed arrays, so it is a drop-in row *representation* for
-    the engine and the diagnostics paths, never a semantics change.
+    It keeps the source table's code arrays, conflicts and views, and
+    adds the packed ``action_*``/``goto_*`` displacement, check and value
+    arrays, so it is a storage *encoding* of the same table, never a
+    semantics change.
     """
 
     def __init__(self, table: ParseTable):
@@ -194,13 +140,6 @@ class DisplacedTable(ParseTable):
             self.goto_check,
             self.goto_values,
         ) = pack_rows(_code_rows(self.goto_codes, n_nts, n_states), empty=-1)
-
-        self.action_rows: List[_PackedActionRow] = [
-            _PackedActionRow(self, state) for state in range(n_states)
-        ]
-        self.goto_rows: List[_PackedGotoRow] = [
-            _PackedGotoRow(self, state) for state in range(n_states)
-        ]
         #: Dense cells of the source table, for the compression report.
         self._dense_cells = n_states * (width + n_nts)
         self._populated_cells = table.size_cells()

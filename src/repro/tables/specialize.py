@@ -1,9 +1,10 @@
 """Hot-loop specialization of parse tables: default reductions + fusion.
 
-The interpreted engine pays, per action, two list indexings, an
-attribute load and a string compare (``action.kind``).  This module
-precomputes a :class:`SpecializedTable` the engine can drive with plain
-integer arithmetic instead:
+Decoding a cell into an :class:`~repro.tables.table.Action` and
+dispatching on ``action.kind`` costs, per action, two list indexings, an
+attribute load and a string compare.  This module precomputes the
+:class:`SpecializedTable` every :class:`~repro.parser.engine.Parser`
+drives with plain integer arithmetic instead:
 
 - ``action_codes`` — the dense ACTION matrix flattened row-major into
   one Python list of encoded ints (the shared encoding from
@@ -26,21 +27,19 @@ integer arithmetic instead:
   change the outcome — qualify.  ``default_codes[state]`` is the encoded
   reduce, or ``-1``.
 
-The engine's specialized loop (:meth:`repro.parser.engine.Parser`)
-additionally *fuses* reduce→goto chains: after a reduction lands in a
-new state it dispatches again immediately — through ``default_codes``
-when the state qualifies, through a real ``action_codes`` lookup
-otherwise — without bouncing through the generic outer loop.  Every step
-still charges the budget and checks the token exactly like the plain
-loop, so parses, budget exhaustion points, instrument counters and
-diagnostics are byte-identical (the representation-parity suite and the
-fuzz oracle pin this corpus-wide).
+The engine's loop (:class:`repro.parser.engine.Parser`) additionally
+*fuses* reduce→goto chains: after a reduction lands in a new state it
+dispatches again immediately — through ``default_codes`` when the state
+qualifies, through a real ``action_codes`` lookup otherwise — without
+bouncing through the outer loop.  Every step still charges the budget
+and checks the token once, so parses, budget exhaustion points,
+instrument counters and diagnostics are byte-identical to a loop over
+decoded ``Action`` rows (tests/test_specialize.py keeps such a loop as
+its reference).
 
-``SpecializedTable`` is a :class:`~repro.tables.table.ParseTable` — its
-lazy ``action_rows``/``goto_rows`` views decode the flat codes back into
-shared :class:`~repro.tables.table.Action` objects — so ``_syntax_error``
-expected sets and :class:`~repro.parser.recovery.RecoveringParser` work
-unchanged on top of it.
+``SpecializedTable`` is a :class:`~repro.tables.table.ParseTable`, so
+its lazy ``action_rows``/``goto_rows``/``actions``/``gotos`` views still
+serve diagnostics and formatting.
 """
 
 from __future__ import annotations
@@ -67,17 +66,16 @@ class SpecializedTable(ParseTable):
     """A ParseTable recompiled into flat integer lists for the engine.
 
     The same table over list copies of the source's code arrays — same
-    grammar, conflicts and lazy row views — plus the specialized-loop
-    extras (``default_codes``/``arities``/``lhs_nts``) that
-    :class:`~repro.parser.engine.Parser` detects via ``is_specialized``.
+    grammar, conflicts and lazy row views — plus the loop's extras
+    (``default_codes``/``arities``/``lhs_nts``).  *table* is any object
+    with a ParseTable's ``grammar``, ``method``, code arrays,
+    ``conflicts`` and ``row_order``.
     """
 
-    is_specialized = True
-
     def __init__(self, table: ParseTable):
-        # Plain Python lists, not array('i'): the hot loop reads these
-        # constantly and list indexing returns the stored int without a
-        # per-read box.
+        # Plain Python lists, not array('i') or the memoryviews of a
+        # mapped BinaryTable: the hot loop reads these constantly and
+        # list indexing returns the stored int without a per-read box.
         super().__init__(
             table.grammar,
             table.method + "+specialized",
@@ -131,21 +129,19 @@ def specialize(table: ParseTable) -> SpecializedTable:
 
 
 def specialized_view(table) -> SpecializedTable:
-    """A memoized :func:`specialize` of *table*.
+    """A memoized :func:`specialize` of *table* (*table* itself when it is
+    already a :class:`SpecializedTable`).
 
-    The service parse path calls this per request on tables that come off
-    the hot LRU; recompiling once per table object (not per request) keeps
-    the specialization cost off the steady-state path.  Safe under the
+    Every :class:`~repro.parser.engine.Parser` resolves its table through
+    this once, at construction; recompiling once per table object, not
+    per parser, keeps the cost off the steady state of callers that build
+    a parser per request over tables from a cache.  Safe under the
     service's thread executor: the build is idempotent and the attribute
     publish is atomic.
     """
-    if getattr(table, "is_specialized", False):
+    if isinstance(table, SpecializedTable):
         return table
     cached = getattr(table, "_specialized_view", None)
     if cached is None:
-        cached = SpecializedTable(table)
-        try:
-            table._specialized_view = cached
-        except AttributeError:  # slotted/frozen table: recompile per call
-            pass
+        cached = table._specialized_view = specialize(table)
     return cached

@@ -12,9 +12,10 @@ conflict log:
 
 Table fill (:mod:`repro.tables.build`) writes these arrays straight from
 the look-ahead bitmasks, the binary artifact (:mod:`repro.tables.binfmt`)
-is these arrays byte for byte, and the specialized engine loop indexes
-them directly.  Everything Symbol- or :class:`Action`-shaped is a lazy
-view, decoded one state at a time on first touch by :class:`LazyRows`:
+is these arrays byte for byte, and the parse engine indexes (list copies
+of) them directly.  Everything Symbol- or :class:`Action`-shaped is a
+lazy view for diagnostics, formatting, the JSON artifact and the GLR
+engine, decoded one state at a time on first touch by :class:`LazyRows`:
 
 - ``action_rows[state][terminal_id]`` — an :class:`Action` or None;
 - ``goto_rows[state][nt_id]`` — the successor state or ``-1``;
@@ -189,8 +190,7 @@ class LazyRows:
     Indexes like a list: a negative index counts from the end and an out
     of range one raises :class:`IndexError`.  Every table representation
     serves its ``action_rows``/``goto_rows``/``actions``/``gotos``
-    through this one class.  Hot loops index ``decoded`` directly and
-    call ``rows[state]`` only on a None (see :func:`decoded_rows`).
+    through this one class.
     """
 
     __slots__ = ("decoded", "_decode")
@@ -223,14 +223,6 @@ class LazyRows:
         )
 
     __hash__ = None  # type: ignore[assignment]
-
-
-def decoded_rows(rows) -> list:
-    """The list a parse loop indexes first for *rows*: a
-    :class:`LazyRows`' ``decoded`` list, where None means "call
-    ``rows[state]``", or a plain list of rows itself.  A hit is then a
-    list index, with no Python-level call."""
-    return rows.decoded if isinstance(rows, LazyRows) else rows
 
 
 def _action_row(codes, width: int, decoder: ActionDecoder, state: int):

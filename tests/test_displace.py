@@ -101,21 +101,28 @@ class TestDisplacedTable:
 
     def test_rows_match_dense(self, expr_table):
         displaced = displace(expr_table)
+        width, n_nts = displaced.num_terminals, displaced.num_nonterminals
+        combs = (
+            (displaced.action_displacements, displaced.action_check,
+             displaced.action_values),
+            (displaced.goto_displacements, displaced.goto_check,
+             displaced.goto_values),
+        )
+        lookup = TestPackRows().lookup
         for state in range(expr_table.n_states):
-            dense = expr_table.action_rows[state]
-            packed = displaced.action_rows[state]
-            assert len(packed) == len(dense)
-            assert [packed[t] for t in range(len(dense))] == list(dense)
-            dense_goto = expr_table.goto_rows[state]
-            packed_goto = displaced.goto_rows[state]
-            assert [packed_goto[n] for n in range(len(dense_goto))] == list(dense_goto)
-
-    def test_row_views_raise_on_out_of_range(self, expr_table):
-        displaced = displace(expr_table)
-        with pytest.raises(IndexError):
-            displaced.action_rows[0][displaced.num_terminals]
-        with pytest.raises(IndexError):
-            displaced.goto_rows[0][-1]
+            dense = [encode_action(cell) for cell in expr_table.action_rows[state]]
+            assert [
+                lookup(combs[0], state, t, width, ACTION_ERROR)
+                for t in range(width)
+            ] == dense
+            dense_goto = list(expr_table.goto_rows[state])
+            assert [
+                lookup(combs[1], state, n, n_nts, -1) for n in range(n_nts)
+            ] == dense_goto
+            assert list(displaced.action_rows[state]) == list(
+                expr_table.action_rows[state]
+            )
+            assert list(displaced.goto_rows[state]) == dense_goto
 
     def test_symbol_lookups_delegate(self, expr_table):
         displaced = displace(expr_table)

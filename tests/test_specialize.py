@@ -1,9 +1,12 @@
-"""Byte-identity suite: the specialized hot loop vs the plain engine.
+"""Byte-identity suite: the engine's fused loop vs a reference loop.
 
-The :class:`~repro.tables.specialize.SpecializedTable` changes *how* the
-engine runs — flat integer dispatch, fused reduce→goto chains, default
-reductions, token memoization — and is allowed to change nothing the
-caller can observe.  Corpus-wide, for every deterministic LALR grammar:
+:class:`~repro.parser.engine.Parser` runs one loop over the
+:class:`~repro.tables.specialize.SpecializedTable` code arrays — flat
+integer dispatch, fused reduce→goto chains, default reductions, token
+memoization.  :mod:`tests.reference_engine` keeps the textbook loop over
+decoded ``Action`` rows as an independent reading of the same table, and
+the two must agree on everything the caller can observe.  Corpus-wide,
+for every deterministic LALR grammar:
 
 - identical parse trees (structure, productions, token values),
 - identical errors on mutated sentences — message, position, state and
@@ -15,7 +18,8 @@ caller can observe.  Corpus-wide, for every deterministic LALR grammar:
 
 Plus the specialization invariants themselves: a default reduction only
 on fully-uniform reduce rows, ParseTable surface parity cell-for-cell,
-and the fuzz oracle wiring that keeps this pinned on random grammars.
+and the fuzz oracle wiring that keeps the loop exercised on random
+grammars.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ from repro.tables.displace import (
     encode_action,
 )
 
+from .reference_engine import ReferenceParser, ReferenceRecoveringParser
+
 #: Corpus grammars whose LALR table is deterministic (the engine refuses
-#: conflicted tables in both loops, so parity is defined over these).
+#: conflicted tables, so parity is defined over these).
 DETERMINISTIC = [
     name
     for name in corpus.names()
@@ -49,10 +55,10 @@ DETERMINISTIC = [
 
 
 def _pair(name):
-    """(plain parser, specialized parser, augmented grammar)."""
+    """(reference parser, engine parser, augmented grammar)."""
     grammar = corpus.load(name).augmented()
     table = build_lalr_table(grammar)
-    return Parser(table), Parser(specialize(table)), grammar
+    return ReferenceParser(table), Parser(table), grammar
 
 
 def _sentences(grammar, count=6, budget=30):
@@ -114,14 +120,14 @@ class TestTreeParity:
             assert fast.trace(sentence) == plain.trace(sentence)
 
     def test_token_values_survive_memoization(self):
-        # The specialized loop memoizes *string* tokens; Token objects
-        # with semantic values must bypass the cache untouched.
+        # The engine memoizes *string* tokens; Token objects with
+        # semantic values must bypass the cache untouched.
         from repro.parser import Token
 
         grammar = corpus.load("expr").augmented()
         table = build_lalr_table(grammar)
-        plain = Parser(table)
-        fast = Parser(specialize(table))
+        plain = ReferenceParser(table)
+        fast = Parser(table)
         id_symbol = grammar.symbols["id"]
         tokens = [Token(id_symbol, 1), "+", Token(id_symbol, 2)]
         values = [leaf.value for leaf in fast.parse(tokens).leaves()]
@@ -208,9 +214,8 @@ class TestInstrumentParity:
 
 
 class TestRecoveryParity:
-    """Panic-mode recovery drives the duck-typed dense-row surface; the
-    specialized table's lazy row views must behave cell-for-cell like
-    the originals."""
+    """Panic-mode recovery over the engine's code arrays must match the
+    reference recovery over decoded rows error for error."""
 
     def _sync_for(self, grammar):
         names = {t.name for t in grammar.terminals}
@@ -225,7 +230,7 @@ class TestRecoveryParity:
         sync = self._sync_for(grammar)
         sentences = _sentences(grammar)
         for stream in _mutants(grammar, sentences):
-            reference = RecoveringParser(plain, sync).check(stream)
+            reference = ReferenceRecoveringParser(plain, sync).check(stream)
             specialized = RecoveringParser(fast, sync).check(stream)
             assert [
                 (str(e), e.position, e.state, [s.name for s in e.expected])
@@ -309,9 +314,9 @@ class TestSpecializationInvariants:
 
 class TestOracleWiring:
     def test_parity_oracle_exercises_specialize(self, monkeypatch):
-        """The fuzz oracle must recompile through specialize() — if the
-        wiring disappears, random-grammar coverage silently loses the
-        hot loop."""
+        """Every Parser the fuzz oracle builds resolves its table through
+        specialize() — if that wiring disappears, random-grammar coverage
+        silently stops running the engine's loop over the code arrays."""
         import importlib
 
         # `repro.tables` re-exports the *function* under the same name,

@@ -4,8 +4,8 @@ A :class:`~repro.tables.table.ParseTable` stores only its code arrays;
 ``action_rows``/``goto_rows``/``actions``/``gotos`` are
 :class:`~repro.tables.table.LazyRows` decoded on first touch.  These
 tests pin that the views index like lists on every representation —
-plain, binary (mmap'd), specialized and displaced — and that the
-counting and specializing paths never decode a row.
+plain, binary (mmap'd), specialized and displaced — and that counting,
+specializing, parsing and recovery never decode a row.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.grammars import corpus
-from repro.parser import Parser, RecoveringParser
+from repro.parser import ParseError, Parser, RecoveringParser
 from repro.tables import (
     DisplacedTable,
     SpecializedTable,
@@ -23,7 +23,7 @@ from repro.tables import (
     table_from_bytes,
     table_to_bytes,
 )
-from repro.tables.table import LazyRows, decoded_rows
+from repro.tables.table import LazyRows
 
 
 def _json_table():
@@ -123,17 +123,34 @@ def test_counting_and_specializing_decode_nothing(tmp_path):
     assert cells == sum(map(len, table.actions)) + sum(map(len, table.gotos))
 
 
-def test_engines_decode_only_the_rows_they_visit():
+def test_engines_decode_no_rows():
     table = _json_table()
-    tokens = ["{", "STRING", ":", "[", "NUMBER", ",", "true", "]", "}"]
-    reference = repr(Parser(_json_table()).parse(tokens))
-    assert decoded_rows(table.action_rows) is table.action_rows.decoded
-    assert repr(Parser(table).parse(tokens)) == reference
-    visited = [s for s, row in enumerate(table.action_rows.decoded) if row]
-    assert 0 < len(visited) < table.n_states
-    assert all(table.action_rows.decoded[s] is table.action_rows[s] for s in visited)
-    errors = RecoveringParser(Parser(table), [","]).check(["{", "STRING", "STRING", "}"])
+    parser = Parser(table)
+    parser.parse(["{", "STRING", ":", "[", "NUMBER", ",", "true", "]", "}"])
+    with pytest.raises(ParseError):
+        parser.parse(["{", "STRING", "STRING", "}"])
+    errors = RecoveringParser(parser, [","]).check(["{", "STRING", "STRING", "}"])
     assert [e.position for e in errors] == [2]
-    # A plain list of rows is its own decoded list.
-    rows = [[None]]
-    assert decoded_rows(rows) is rows
+    assert _untouched(table.action_rows)
+
+
+def test_parser_over_closed_binary_table(tmp_path):
+    table = _json_table()
+    path = str(tmp_path / "json.rtb")
+    save_binary_table(table, path)
+    mapped = load_binary_table(path, table.grammar)
+    parser = Parser(mapped)
+    reference = Parser(table)
+    mapped.close()
+    valid = ["{", "STRING", ":", "[", "NUMBER", ",", "true", "]", "}"]
+    assert repr(parser.parse(valid)) == repr(reference.parse(valid))
+    for invalid in (["{", "STRING", "STRING", "}"], ["[", "]", "]"], []):
+        with pytest.raises(ParseError) as got:
+            parser.parse(invalid)
+        with pytest.raises(ParseError) as want:
+            reference.parse(invalid)
+        assert (str(got.value), got.value.state, got.value.expected) == (
+            str(want.value),
+            want.value.state,
+            want.value.expected,
+        )
